@@ -199,7 +199,9 @@ pub fn analyze_corpus_incremental(
     // repaired (overwritten) even when the analysis was spliced.
     for ((i, diag), (result, cache_diags)) in misses.into_iter().zip(fresh) {
         let mut spliced = false;
-        let analysis = match result {
+        // The entry is written from the funnel's own bytes; only the
+        // never-taken fallback below encodes.
+        let decoded = match result {
             Ok(out) => {
                 stats.unit_hits += out.stats.unit_hits;
                 stats.unit_misses += out.stats.unit_misses;
@@ -211,14 +213,21 @@ pub fn analyze_corpus_incremental(
                 for d in cache_diags.iter().filter(|d| d.stage == StageKind::Cache) {
                     observer.diagnostic(d);
                 }
-                codec::get_analysis(&mut Reader::new(&out.bytes)).ok()
+                codec::get_analysis(&mut Reader::new(&out.bytes))
+                    .ok()
+                    .map(|analysis| (analysis, out.bytes))
             }
             // Uncancellable funnel runs don't error; fall back anyway.
             Err(_) => None,
-        }
-        .unwrap_or_else(|| analyze_firmware_jobs(images[i], classifier, config, par.units));
+        };
+        let (analysis, encoded) = decoded.unwrap_or_else(|| {
+            let analysis = analyze_firmware_jobs(images[i], classifier, config, par.units);
+            let mut encoded = Vec::new();
+            codec::put_analysis(&mut encoded, &analysis);
+            (analysis, encoded)
+        });
         if !spliced || diag.is_some() {
-            match cache.store(&keys[i], &analysis) {
+            match cache.store_encoded(&keys[i], &analysis, &encoded) {
                 Ok(written) => {
                     stats.bytes_written += written;
                     observer.count(Counter::CacheBytesWritten, written);

@@ -161,21 +161,19 @@ pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
 /// The Semantics stage's output (and the "no trained classifier"
 /// diagnostic) depends on which model — if any — was supplied, so the
 /// model is part of the analysis identity. `None` maps to the reserved
-/// [`NO_CLASSIFIER`] marker; a trained model is hashed over its
+/// [`NO_CLASSIFIER`] marker; a trained model maps to
+/// [`Classifier::fingerprint`], the [`content_hash_packed`] of its
 /// serialized form ([`Classifier::to_bytes`], which covers every weight
 /// bit), nudged off the marker value in the astronomically unlikely case
-/// the hash lands on it.
+/// the hash lands on it. The model memoizes that hash, so keying a
+/// request costs the image hash alone after the first call.
 pub fn classifier_fingerprint(classifier: Option<&Classifier>) -> u64 {
     match classifier {
         None => NO_CLASSIFIER,
-        Some(model) => {
-            let h = content_hash_packed(&model.to_bytes());
-            if h == NO_CLASSIFIER {
-                1
-            } else {
-                h
-            }
-        }
+        Some(model) => match model.fingerprint() {
+            NO_CLASSIFIER => 1,
+            h => h,
+        },
     }
 }
 

@@ -137,6 +137,10 @@ impl CacheError {
 pub struct CachedEntry {
     /// The persisted analysis result.
     pub analysis: FirmwareAnalysis,
+    /// The analysis section exactly as stored: the [`put_analysis`]
+    /// encoding of `analysis`, which decoded with no byte left over.
+    /// A server answers a hit with these bytes instead of re-encoding.
+    pub analysis_bytes: Vec<u8>,
     /// The ExeId stage's handler set, decodable on its own.
     pub handlers: Vec<HandlerInfo>,
     /// The FieldId stage's per-message taint digests, decodable on
@@ -343,7 +347,24 @@ impl AnalysisCache {
     /// Persist a finished analysis (plus its stage artifacts) under
     /// `key`. Returns the number of bytes written.
     pub fn store(&self, key: &CacheKey, analysis: &FirmwareAnalysis) -> Result<u64, CacheError> {
-        let mut out = Vec::with_capacity(4096);
+        let mut encoded = Vec::new();
+        put_analysis(&mut encoded, analysis);
+        self.store_encoded(key, analysis, &encoded)
+    }
+
+    /// Persist an analysis whose [`put_analysis`] encoding the caller
+    /// already holds (the unit funnel's output): `encoded` becomes the
+    /// analysis section verbatim, and `analysis` supplies the handler
+    /// and taint-summary sections, so it must be what `encoded` decodes
+    /// to — the caller decoded it from those bytes, or encoded them from
+    /// it. Returns the number of bytes written.
+    pub fn store_encoded(
+        &self,
+        key: &CacheKey,
+        analysis: &FirmwareAnalysis,
+        encoded: &[u8],
+    ) -> Result<u64, CacheError> {
+        let mut out = Vec::with_capacity(encoded.len() + 4096);
         out.put_slice(MAGIC);
         out.put_u16_le(SCHEMA_VERSION);
         out.put_u128_le(key.image);
@@ -366,9 +387,7 @@ impl AnalysisCache {
         }
         put_section(&mut out, &section);
 
-        let mut section = Vec::new();
-        put_analysis(&mut section, analysis);
-        put_section(&mut out, &section);
+        put_section(&mut out, encoded);
 
         out.put_u64_le(content_hash_packed(&out));
 
@@ -378,15 +397,22 @@ impl AnalysisCache {
         Ok(out.len() as u64)
     }
 
-    /// Load and fully decode the entry for `key`.
+    /// Load and fully decode the entry for `key`. Every section must
+    /// decode with no byte left over, so an entry that loads can have
+    /// its analysis section served verbatim.
     pub fn load(&self, key: &CacheKey) -> Result<CachedEntry, CacheError> {
-        let raw = self.read_verified(key)?;
-        let bytes = raw.bytes;
-        let handlers = decode_handlers(&raw.sections[0])?;
-        let taint = decode_taint_summaries(&raw.sections[1])?;
-        let analysis = get_analysis(&mut Reader::new(&raw.sections[2]))?;
+        let RawEntry {
+            sections: [handlers, taint, analysis_bytes],
+            bytes,
+        } = self.read_verified(key)?;
+        let handlers = decode_handlers(&handlers)?;
+        let taint = decode_taint_summaries(&taint)?;
+        let mut r = Reader::new(&analysis_bytes);
+        let analysis = get_analysis(&mut r)?;
+        expect_consumed(&r)?;
         Ok(CachedEntry {
             analysis,
+            analysis_bytes,
             handlers,
             taint_summaries: taint,
             bytes,
@@ -452,13 +478,13 @@ impl AnalysisCache {
         if echo != *key {
             return Err(CacheError::KeyMismatch);
         }
-        let mut sections = Vec::with_capacity(3);
-        for _ in 0..3 {
+        let mut sections: [Vec<u8>; 3] = Default::default();
+        for section in &mut sections {
             let len = r.u32()? as usize;
             if len > r.remaining() {
                 return Err(CacheError::Truncated);
             }
-            sections.push(r.bytes(len)?.to_vec());
+            *section = r.bytes(len)?.to_vec();
         }
         self.note_read_artifact(&key.file_name());
         Ok(RawEntry {
@@ -707,7 +733,7 @@ impl AnalysisCache {
 }
 
 struct RawEntry {
-    sections: Vec<Vec<u8>>,
+    sections: [Vec<u8>; 3],
     bytes: u64,
 }
 
@@ -759,6 +785,17 @@ fn put_section(out: &mut Vec<u8>, section: &[u8]) {
     out.put_slice(section);
 }
 
+/// A section holds exactly one encoded value: bytes left over after it
+/// decoded make the entry unusable.
+fn expect_consumed(r: &Reader) -> Result<(), CacheError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(CacheError::Decode(format!(
+            "{n} trailing byte(s) in section"
+        ))),
+    }
+}
+
 fn decode_handlers(bytes: &[u8]) -> Result<Vec<HandlerInfo>, CacheError> {
     let mut r = Reader::new(bytes);
     let n = r.seq_len()?;
@@ -766,6 +803,7 @@ fn decode_handlers(bytes: &[u8]) -> Result<Vec<HandlerInfo>, CacheError> {
     for _ in 0..n {
         out.push(get_handler(&mut r)?);
     }
+    expect_consumed(&r)?;
     Ok(out)
 }
 
@@ -776,6 +814,7 @@ fn decode_taint_summaries(bytes: &[u8]) -> Result<Vec<TaintSummary>, CacheError>
     for _ in 0..n {
         out.push(get_taint_summary(&mut r)?);
     }
+    expect_consumed(&r)?;
     Ok(out)
 }
 

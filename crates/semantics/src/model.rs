@@ -23,6 +23,7 @@ use crate::Primitive;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// One weight row: all feature columns plus the bias column.
 const ROW: usize = FEATURE_DIM + 1;
@@ -106,6 +107,10 @@ pub struct Classifier {
     /// `max_{c ≠ None}(bias[c] − bias[None])` (may be negative).
     bias_gap: f64,
     report: TrainReport,
+    /// [`Classifier::fingerprint`], computed on first use. The model is
+    /// immutable once built (private fields, no `&mut self` method), so
+    /// the memo can never go stale, and a clone carries a valid copy.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Classifier {
@@ -216,6 +221,7 @@ impl Classifier {
             gap,
             bias_gap,
             report,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -338,6 +344,17 @@ impl Classifier {
     /// The training report.
     pub fn report(&self) -> &TrainReport {
         &self.report
+    }
+
+    /// A 64-bit digest of the serialized model ([`Classifier::to_bytes`],
+    /// which covers every weight bit): the word-folded FNV-1a the
+    /// analysis cache keys on. Hashing the 229 KB serialization costs
+    /// most of a millisecond, so it runs once, on first call, and later
+    /// calls read the memo. Building or loading a model does not pay it.
+    pub fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::fnv::fnv64_words(&self.to_bytes()))
     }
 
     /// The canonical row-major weight matrix, for persistence.

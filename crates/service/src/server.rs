@@ -32,6 +32,10 @@
 //! (deadline-armed when the submit asked for one), and the served
 //! analysis is the FRAC [`put_analysis`] encoding — byte-identical to
 //! what a local `analyze` of the same image, config and model produces.
+//! Each submit is keyed once, after the daemon's known-library index is
+//! overlaid onto its config. With a store, the payload is bytes that
+//! already exist: a hit ships the stored analysis section verbatim, a
+//! miss ships the unit funnel's output and stores those same bytes.
 //!
 //! A `Drain` request must block until the queue empties without
 //! stalling the other connections on its shard, so it is parked on a
@@ -45,10 +49,10 @@ use crate::wire::{
     PROTOCOL_VERSION,
 };
 use firmres::{
-    analyze_firmware_cancellable, analyze_packed, AnalysisConfig, CancelToken, Error, FnObserver,
-    NullObserver, Observer,
+    analyze_firmware_cancellable, analyze_packed, AnalysisConfig, CancelToken, Error,
+    FirmwareAnalysis, FnObserver, NullObserver, Observer,
 };
-use firmres_cache::codec::put_analysis;
+use firmres_cache::codec::{get_analysis, put_analysis, Reader};
 use firmres_cache::{AnalysisCache, CacheKey, StorePolicy};
 use firmres_firmware::FirmwareImage;
 use firmres_semantics::Classifier;
@@ -105,7 +109,8 @@ pub struct ServerConfig {
     pub store: StorePolicy,
     /// Semantics classifier applied to every job, or `None` for the
     /// keyword fallback — part of the cache identity, so it must match
-    /// the local run a served result is compared against.
+    /// the local run a served result is compared against. [`Server::bind`]
+    /// moves the model out of the config, so the daemon holds one copy.
     pub classifier: Option<Classifier>,
     /// Known-library index overlaid onto every job's taint config
     /// (`--libid` / the `[libid]` config section). Part of the cache
@@ -224,6 +229,10 @@ fn send(reply: &ConnHandle, response: &Response) {
 struct Job {
     id: u64,
     packed: Vec<u8>,
+    /// The request's key, computed at admission (`None` without a
+    /// store): the entry the job's analysis is stored under.
+    key: Option<CacheKey>,
+    /// The client's config with the server's library index overlaid.
     config: AnalysisConfig,
     want_events: bool,
     token: CancelToken,
@@ -254,6 +263,7 @@ struct Shared {
     running_tokens: parking_lot::Mutex<HashMap<u64, CancelToken>>,
     cache: Option<AnalysisCache>,
     classifier: Option<Classifier>,
+    /// The config the daemon was bound with, minus the classifier.
     cfg: ServerConfig,
 }
 
@@ -309,7 +319,7 @@ impl Server {
     /// Bind the daemon to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral
     /// port). Opening the cache directory sweeps orphans and, when an
     /// eviction budget is configured, surveys the store's occupancy.
-    pub fn bind(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<Server> {
+    pub fn bind(addr: impl ToSocketAddrs, mut cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
@@ -325,7 +335,7 @@ impl Server {
                 .cache_dir
                 .as_ref()
                 .map(|dir| AnalysisCache::with_policy(dir, cfg.store.clone())),
-            classifier: cfg.classifier.clone(),
+            classifier: cfg.classifier.take(),
             cfg,
         });
         Ok(Server { listener, shared })
@@ -428,19 +438,35 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_job(shared: &Shared, mut job: Job) {
+fn run_job(shared: &Shared, job: Job) {
     shared
         .running_tokens
         .lock()
         .insert(job.id, job.token.clone());
 
-    // Overlay the server's known-library index onto the client-supplied
-    // config before anything keys or runs: the cache key and the
-    // pipeline must see the same effective configuration.
-    if let Some(index) = &shared.cfg.lib_index {
-        job.config.taint.libid = firmres_dataflow::LibId::On;
-        job.config.taint.lib_index = Some(Arc::clone(index));
-    }
+    // The terminal `Cancelled` reason of a job that produced no analysis.
+    let failed = |e: Error| match e {
+        Error::Cancelled { deadline_exceeded } => {
+            shared
+                .counters
+                .jobs_cancelled
+                .fetch_add(1, Ordering::Relaxed);
+            let reason = if deadline_exceeded {
+                "deadline exceeded"
+            } else {
+                "cancelled"
+            };
+            reason.to_string()
+        }
+        // The cancellable pipeline has no other error source today;
+        // report rather than crash the worker if that changes.
+        e => format!("analysis failed: {e}"),
+    };
+    let encoded = |analysis: FirmwareAnalysis| {
+        let mut payload = Vec::new();
+        put_analysis(&mut payload, &analysis);
+        (analysis, payload)
+    };
 
     let classifier = shared.classifier.as_ref();
     let outcome = match FirmwareImage::unpack(&job.packed) {
@@ -460,7 +486,10 @@ fn run_job(shared: &Shared, mut job: Job) {
             // With a cache configured, a miss goes through the
             // unit-granular funnel: the daemon diffs the submitted image
             // against its stored artifacts automatically and re-runs
-            // only the dirty units. Without one, the plain pipeline.
+            // only the dirty units. Its encoded output is the payload
+            // and the stored section; the decode only feeds the counters
+            // and the entry's stage artifacts. Without a store, the
+            // plain pipeline.
             match &shared.cache {
                 Some(cache) => firmres_cache::analyze_image_units_incremental(
                     &fw,
@@ -471,28 +500,17 @@ fn run_job(shared: &Shared, mut job: Job) {
                     observer,
                     Some(&job.token),
                 )
-                .map(|out| {
+                .map_err(failed)
+                .and_then(|out| {
                     let c = &shared.counters;
                     c.unit_hits
                         .fetch_add(out.stats.unit_hits, Ordering::Relaxed);
                     c.unit_misses
                         .fetch_add(out.stats.unit_misses, Ordering::Relaxed);
-                    firmres_cache::codec::get_analysis(&mut firmres_cache::codec::Reader::new(
-                        &out.bytes,
-                    ))
-                    .ok()
-                })
-                .and_then(|decoded| match decoded {
-                    Some(analysis) => Ok(analysis),
-                    // Funnel bytes always decode; re-run defensively.
-                    None => analyze_firmware_cancellable(
-                        &fw,
-                        classifier,
-                        &job.config,
-                        shared.cfg.unit_jobs,
-                        &mut NullObserver,
-                        &job.token,
-                    ),
+                    match get_analysis(&mut Reader::new(&out.bytes)) {
+                        Ok(analysis) => Ok((analysis, out.bytes)),
+                        Err(e) => Err(format!("analysis failed: funnel output: {e}")),
+                    }
                 }),
                 None => analyze_firmware_cancellable(
                     &fw,
@@ -501,18 +519,24 @@ fn run_job(shared: &Shared, mut job: Job) {
                     shared.cfg.unit_jobs,
                     observer,
                     &job.token,
-                ),
+                )
+                .map(encoded)
+                .map_err(failed),
             }
         }
         // An unpackable image degrades exactly as the local pipeline
         // does: a stub analysis carrying an Input diagnostic.
-        Err(_) => Ok(analyze_packed(&job.packed, classifier, &job.config)),
+        Err(_) => Ok(encoded(analyze_packed(
+            &job.packed,
+            classifier,
+            &job.config,
+        ))),
     };
 
     shared.running_tokens.lock().remove(&job.id);
 
-    match outcome {
-        Ok(analysis) => {
+    let response = match outcome {
+        Ok((analysis, payload)) => {
             let c = &shared.counters;
             c.lib_fns_matched
                 .fetch_add(analysis.counters.lib_fns_matched, Ordering::Relaxed);
@@ -520,54 +544,25 @@ fn run_job(shared: &Shared, mut job: Job) {
                 .fetch_add(analysis.counters.lib_traversals_skipped, Ordering::Relaxed);
             c.lib_summary_applies
                 .fetch_add(analysis.counters.lib_summary_applies, Ordering::Relaxed);
-            if let Some(cache) = &shared.cache {
-                let key = CacheKey::of_packed(&job.packed, classifier, &job.config);
+            if let (Some(cache), Some(key)) = (&shared.cache, &job.key) {
                 // A full store or unwritable directory degrades the
                 // cache, not the response.
-                let _ = cache.store(&key, &analysis);
+                let _ = cache.store_encoded(key, &analysis, &payload);
             }
-            let mut payload = Vec::new();
-            put_analysis(&mut payload, &analysis);
-            shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-            shared.counters.jobs_served.fetch_add(1, Ordering::Relaxed);
-            send(
-                &job.reply,
-                &Response::Analysis {
-                    job_id: job.id,
-                    from_cache: false,
-                    payload,
-                },
-            );
+            c.cache_misses.fetch_add(1, Ordering::Relaxed);
+            c.jobs_served.fetch_add(1, Ordering::Relaxed);
+            Response::Analysis {
+                job_id: job.id,
+                from_cache: false,
+                payload,
+            }
         }
-        Err(Error::Cancelled { deadline_exceeded }) => {
-            shared
-                .counters
-                .jobs_cancelled
-                .fetch_add(1, Ordering::Relaxed);
-            send(
-                &job.reply,
-                &Response::Cancelled {
-                    job_id: job.id,
-                    reason: if deadline_exceeded {
-                        "deadline exceeded".to_string()
-                    } else {
-                        "cancelled".to_string()
-                    },
-                },
-            );
-        }
-        Err(e) => {
-            // The cancellable pipeline has no other error source today;
-            // report rather than crash the worker if that changes.
-            send(
-                &job.reply,
-                &Response::Cancelled {
-                    job_id: job.id,
-                    reason: format!("analysis failed: {e}"),
-                },
-            );
-        }
-    }
+        Err(reason) => Response::Cancelled {
+            job_id: job.id,
+            reason,
+        },
+    };
+    send(&job.reply, &response);
     job.conn_inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
@@ -893,7 +888,7 @@ fn handle_submit(
     tx: &ConnHandle,
     conn_inflight: &Arc<AtomicU32>,
     image: SubmitImage,
-    config: AnalysisConfig,
+    mut config: AnalysisConfig,
     want_events: bool,
     deadline_ms: u64,
 ) {
@@ -901,29 +896,29 @@ fn handle_submit(
         return shared.reject(tx, RejectReason::Draining);
     }
 
+    // Overlay the server's known-library index onto the client-supplied
+    // config before keying: the lookup, the pipeline and the store must
+    // all see the same effective configuration.
+    if let Some(index) = &shared.cfg.lib_index {
+        config.taint.libid = firmres_dataflow::LibId::On;
+        config.taint.lib_index = Some(Arc::clone(index));
+    }
+    // The request's one key; a miss carries it to the worker. Cache
+    // first: a warm hit never touches the queue.
     let classifier = shared.classifier.as_ref();
-    let packed = match image {
-        SubmitImage::Bytes(packed) => {
-            // Cache first: a warm hit never touches the queue.
-            if let Some(cache) = &shared.cache {
-                let key = CacheKey::of_packed(&packed, classifier, &config);
-                if let Ok(entry) = cache.load(&key) {
-                    return serve_hit(shared, tx, &entry.analysis);
-                }
-            }
-            packed
+    let key = shared.cache.as_ref().map(|_| match &image {
+        SubmitImage::Bytes(packed) => CacheKey::of_packed(packed, classifier, &config),
+        SubmitImage::Hash(hash) => CacheKey::of_hash(*hash, classifier, &config),
+    });
+    if let (Some(cache), Some(key)) = (&shared.cache, &key) {
+        if let Ok(entry) = cache.load(key) {
+            return serve_hit(shared, tx, entry.analysis_bytes);
         }
-        SubmitImage::Hash(hash) => {
-            // Hash-addressed submits are cache-only by construction:
-            // the daemon cannot analyze bytes it was never sent.
-            if let Some(cache) = &shared.cache {
-                let key = CacheKey::of_hash(hash, classifier, &config);
-                if let Ok(entry) = cache.load(&key) {
-                    return serve_hit(shared, tx, &entry.analysis);
-                }
-            }
-            return shared.reject(tx, RejectReason::UnknownImage);
-        }
+    }
+    // Hash-addressed submits are cache-only by construction: the daemon
+    // cannot analyze bytes it was never sent.
+    let SubmitImage::Bytes(packed) = image else {
+        return shared.reject(tx, RejectReason::UnknownImage);
     };
 
     let cap = shared.cfg.conn_inflight_cap;
@@ -957,6 +952,7 @@ fn handle_submit(
     qs.queue.push_back(Job {
         id: job_id,
         packed,
+        key,
         config,
         want_events,
         token,
@@ -968,12 +964,10 @@ fn handle_submit(
 }
 
 /// Answer a submit straight from the cache: `Accepted` then a terminal
-/// `Analysis` frame re-encoded through the same codec a pipeline run
-/// uses, so hit and miss payloads are byte-comparable.
-fn serve_hit(shared: &Shared, tx: &ConnHandle, analysis: &firmres::FirmwareAnalysis) {
+/// `Analysis` frame carrying the stored analysis section as it is — the
+/// bytes the miss that stored the entry served.
+fn serve_hit(shared: &Shared, tx: &ConnHandle, payload: Vec<u8>) {
     let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-    let mut payload = Vec::new();
-    put_analysis(&mut payload, analysis);
     shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
     shared.counters.jobs_served.fetch_add(1, Ordering::Relaxed);
     send(tx, &Response::Accepted { job_id });

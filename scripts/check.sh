@@ -223,4 +223,10 @@ cargo test --release -q --test service_end_to_end
 echo "==> service cold/warm bench (writes BENCH_service.json)"
 cargo run --release -q -p firmres-bench --bin service_bench
 
+echo "==> outside-in benchmark smoke (firmres-benchmark/smoke.sh)"
+# Builds the benchmark package against this workspace, runs its unit
+# tests and every workload at 5% size, so a workspace API change that
+# breaks the benchmark fails here rather than in a benchmark run.
+firmres-benchmark/smoke.sh
+
 echo "==> all checks passed"

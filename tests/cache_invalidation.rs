@@ -171,6 +171,54 @@ fn classifier_change_forces_a_miss() {
 }
 
 #[test]
+fn memoized_classifier_fingerprint_is_the_serialized_model_hash() {
+    use firmres_cache::{classifier_fingerprint, NO_CLASSIFIER};
+    use firmres_firmware::content_hash_packed;
+    use firmres_semantics::{Classifier, Primitive, TrainConfig};
+    let data = vec![
+        ("mac address".to_string(), Primitive::DevIdentifier),
+        ("password login".to_string(), Primitive::UserCred),
+    ];
+    let train = |epochs| {
+        Classifier::train(
+            &data,
+            &TrainConfig {
+                epochs,
+                ..Default::default()
+            },
+        )
+    };
+    // The fingerprint's definition: the hash of the serialized model,
+    // nudged off the no-model marker.
+    let expected = |m: &Classifier| match content_hash_packed(&m.to_bytes()) {
+        NO_CLASSIFIER => 1,
+        h => h,
+    };
+    let trained = train(3);
+    let loaded = Classifier::from_bytes(&trained.to_bytes()).expect("model round trip");
+    let cloned = trained.clone();
+    for (what, m) in [
+        ("trained", &trained),
+        ("loaded", &loaded),
+        ("cloned", &cloned),
+    ] {
+        let want = expected(m);
+        assert_eq!(classifier_fingerprint(Some(m)), want, "{what}: first call");
+        assert_eq!(classifier_fingerprint(Some(m)), want, "{what}: memoized");
+    }
+    // A clone of a model whose memo is filled carries the same value.
+    assert_eq!(
+        classifier_fingerprint(Some(&trained.clone())),
+        expected(&trained)
+    );
+    assert_ne!(
+        classifier_fingerprint(Some(&trained)),
+        classifier_fingerprint(Some(&train(4))),
+        "a differently-trained model keys differently"
+    );
+}
+
+#[test]
 fn config_change_forces_a_miss() {
     let dev = firmres_corpus::generate_device(10, 7);
     let base = AnalysisConfig::default();

@@ -176,6 +176,83 @@ fn mutated_resubmit_reuses_unit_artifacts() {
         "spliced result differs from a from-scratch run"
     );
 
+    // The update miss stored the bytes it served: a later by-bytes and
+    // by-hash submit of the same image answer with exactly them.
+    let packed = update.image.pack().to_vec();
+    let again = client
+        .submit(SubmitImage::Bytes(packed.clone()), &config, false, 0)
+        .expect("v2 resubmit");
+    let by_hash = client
+        .submit(
+            SubmitImage::Hash(content_hash_packed_wide(&packed)),
+            &config,
+            false,
+            0,
+        )
+        .expect("v2 hash submit");
+    assert!(again.from_cache && by_hash.from_cache);
+    assert_eq!(again.payload, served.payload);
+    assert_eq!(by_hash.payload, served.payload);
+
+    client.drain().expect("drain");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn libid_daemon_answers_resubmits_and_hash_submits_from_its_own_entries() {
+    // A daemon started with a known-library index overlays it onto
+    // every job before keying, so the key it looks up is the key its
+    // miss stored under.
+    let fixtures = temp_dir("libid-fixtures");
+    std::fs::create_dir_all(&fixtures).unwrap();
+    for k in 0..firmres_corpus::ROSTER.len() {
+        std::fs::write(
+            fixtures.join(firmres_corpus::library_fixture_file(k)),
+            firmres_corpus::library_fixture_source(k),
+        )
+        .unwrap();
+    }
+    let (index, _) = firmres_libid::build_index_from_dir(&fixtures).unwrap();
+    let _ = std::fs::remove_dir_all(&fixtures);
+    let packed = (0..16)
+        .map(|i| firmres_corpus::synth_device_with_libraries(i, 11))
+        .find(|d| !d.spec.linked_libraries.is_empty())
+        .expect("a device in the first 16 links a library")
+        .packed;
+
+    let dir = temp_dir("libid-daemon");
+    let (addr, handle) = spawn(ServerConfig {
+        cache_dir: Some(dir.clone()),
+        lib_index: Some(std::sync::Arc::new(index)),
+        ..ServerConfig::default()
+    });
+    let config = AnalysisConfig::default();
+    let mut client = Client::connect(addr).expect("connect");
+    let first = client
+        .submit(SubmitImage::Bytes(packed.clone()), &config, false, 0)
+        .expect("cold submit");
+    assert!(!first.from_cache);
+    assert!(first.analysis.counters.lib_fns_matched > 0, "the index ran");
+
+    let again = client
+        .submit(SubmitImage::Bytes(packed.clone()), &config, false, 0)
+        .expect("by-bytes resubmit");
+    let by_hash = client
+        .submit(
+            SubmitImage::Hash(content_hash_packed_wide(&packed)),
+            &config,
+            false,
+            0,
+        )
+        .expect("by-hash submit");
+    assert!(again.from_cache, "a by-bytes resubmit is a hit");
+    assert!(by_hash.from_cache, "a by-hash submit is a hit");
+    assert_eq!(again.payload, first.payload);
+    assert_eq!(by_hash.payload, first.payload);
+
+    let status = client.status().expect("status");
+    assert_eq!((status.cache_misses, status.cache_hits), (1, 2));
     client.drain().expect("drain");
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
