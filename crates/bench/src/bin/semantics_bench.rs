@@ -1,10 +1,10 @@
 //! Semantics-stage batching gate: per-slice vs batched vs batched +
-//! certified-None-prefilter vs corpus-deduped classification.
+//! certified-None-prefilter classification.
 //!
 //! Harvests every rendered slice from the 22-device synthetic corpus
 //! plus a 200-device synthetic fleet (grouped per device, the
 //! granularity `semantics_unit` batches at), trains the semantics
-//! model on the corpus slices, then times four classification paths
+//! model on the corpus slices, then times three classification paths
 //! over the identical slice groups:
 //!
 //! - **per_slice** — the pre-batching baseline, reproduced
@@ -15,23 +15,22 @@
 //! - **batch** — [`Classifier::predict_batch`] per device, prefilter
 //!   off: one featurizer pass, argmax-only scoring.
 //! - **batch_prefilter** — `predict_batch` with the certified None
-//!   pre-filter proving weak-evidence slices cannot leave `None`.
-//! - **corpus_cache** — a fresh corpus-wide [`ClassCache`] per rep:
-//!   batched + prefiltered classification deduped across the whole
-//!   fleet (shared wrapper slices hit after their first device).
+//!   pre-filter proving weak-evidence slices cannot leave `None`: the
+//!   production stack (`UnitClassifier`).
 //!
 //! Every path must produce **identical labels** for every slice — the
-//! batch kernel, the prefilter and the cache are transparent
-//! optimizations, and this binary exits non-zero if any label differs
-//! (or if the full-stack speedup falls below the optional floor, which
-//! `scripts/check.sh` sets at the 1.5× acceptance threshold).
+//! batch kernel and the prefilter are transparent optimizations, and
+//! this binary exits non-zero if any label differs (or if the
+//! production stack's speedup over per-slice falls below the optional
+//! floor, which `scripts/check.sh` sets at the 1.5× acceptance
+//! threshold).
 //!
 //! Usage:
 //! `cargo run --release -p firmres-bench --bin semantics_bench [out.json] [min-speedup]`
 
 use firmres::{analyze_firmware, AnalysisConfig};
 use firmres_corpus::synth_device;
-use firmres_semantics::{ClassCache, Classifier, Primitive};
+use firmres_semantics::{Classifier, Primitive};
 use std::time::Instant;
 
 /// The semantics classification path exactly as it stood before the
@@ -194,13 +193,11 @@ struct Pass {
     wall_ms: f64,
     labels: Vec<Vec<Primitive>>,
     prefilter_skips: u64,
-    cache_hits: u64,
 }
 
 /// One timed classification pass over every group.
 fn run_pass(groups: &[Group], model: &Classifier, mode: &str) -> Pass {
     let dense = model.dense_weights();
-    let corpus_cache = ClassCache::new(0);
     let mut labels = Vec::with_capacity(groups.len());
     let mut prefilter_skips = 0u64;
     let t = Instant::now();
@@ -216,17 +213,13 @@ fn run_pass(groups: &[Group], model: &Classifier, mode: &str) -> Pass {
                 prefilter_skips += outcome.prefilter_skips;
                 outcome.labels
             }
-            "corpus_cache" => corpus_cache.classify_batch(Some(model), &texts),
             other => unreachable!("unknown mode {other}"),
         });
     }
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let stats = corpus_cache.stats();
     Pass {
-        wall_ms,
+        wall_ms: t.elapsed().as_secs_f64() * 1e3,
         labels,
-        prefilter_skips: prefilter_skips.max(stats.prefilter_skips),
-        cache_hits: stats.hits,
+        prefilter_skips,
     }
 }
 
@@ -297,15 +290,10 @@ fn main() {
     let per_slice = best_pass(&groups, &model, "per_slice", reps);
     let batch = best_pass(&groups, &model, "batch", reps);
     let prefiltered = best_pass(&groups, &model, "batch_prefilter", reps);
-    let cached = best_pass(&groups, &model, "corpus_cache", reps);
 
     let mut failures = 0;
     let mut identical = true;
-    for (name, pass) in [
-        ("batch", &batch),
-        ("batch_prefilter", &prefiltered),
-        ("corpus_cache", &cached),
-    ] {
+    for (name, pass) in [("batch", &batch), ("batch_prefilter", &prefiltered)] {
         if pass.labels != per_slice.labels {
             eprintln!("FAIL: {name} labels differ from the per-slice reference");
             identical = false;
@@ -314,7 +302,7 @@ fn main() {
     }
 
     let speedup_batch = per_slice.wall_ms / batch.wall_ms.max(1e-9);
-    let speedup_full = per_slice.wall_ms / cached.wall_ms.max(1e-9);
+    let speedup_full = per_slice.wall_ms / prefiltered.wall_ms.max(1e-9);
     if let Some(floor) = min_speedup {
         if speedup_full < floor {
             eprintln!("FAIL: {speedup_full:.2}x full-stack speedup is below the {floor}x floor");
@@ -332,9 +320,7 @@ fn main() {
             "  \"per_slice_ms\": {per_slice_ms:.3},\n",
             "  \"batch_ms\": {batch_ms:.3},\n",
             "  \"batch_prefilter_ms\": {prefilter_ms:.3},\n",
-            "  \"corpus_cache_ms\": {cached_ms:.3},\n",
             "  \"prefilter_skips\": {prefilter_skips},\n",
-            "  \"corpus_cache_hits\": {cache_hits},\n",
             "  \"speedup_batch\": {speedup_batch:.2},\n",
             "  \"speedup_full\": {speedup_full:.2},\n",
             "  \"labels_identical\": {identical}\n",
@@ -346,9 +332,7 @@ fn main() {
         per_slice_ms = per_slice.wall_ms,
         batch_ms = batch.wall_ms,
         prefilter_ms = prefiltered.wall_ms,
-        cached_ms = cached.wall_ms,
         prefilter_skips = prefiltered.prefilter_skips,
-        cache_hits = cached.cache_hits,
         speedup_batch = speedup_batch,
         speedup_full = speedup_full,
         identical = identical,
@@ -356,8 +340,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark output");
 
     println!(
-        "semantics: per-slice {:.1} ms | batch {:.1} ms | +prefilter {:.1} ms | +corpus cache {:.1} ms | {speedup_full:.2}x | labels identical: {identical}",
-        per_slice.wall_ms, batch.wall_ms, prefiltered.wall_ms, cached.wall_ms
+        "semantics: per-slice {:.1} ms | batch {:.1} ms | +prefilter {:.1} ms | {speedup_full:.2}x | labels identical: {identical}",
+        per_slice.wall_ms, batch.wall_ms, prefiltered.wall_ms
     );
     println!("wrote {out_path}");
     if failures > 0 {

@@ -957,7 +957,6 @@ fn put_counter_tag(out: &mut Vec<u8>, c: Counter) {
         Counter::LibSummaryApplies => 13,
         Counter::SlicesBatched => 14,
         Counter::PrefilterSkips => 15,
-        Counter::ClassCacheHits => 16,
     });
 }
 
@@ -979,7 +978,6 @@ fn get_counter_tag(r: &mut Reader) -> Result<Counter, DecodeError> {
         13 => Counter::LibSummaryApplies,
         14 => Counter::SlicesBatched,
         15 => Counter::PrefilterSkips,
-        16 => Counter::ClassCacheHits,
         _ => return err("invalid Counter tag"),
     })
 }
@@ -1248,7 +1246,6 @@ mod tests {
             Counter::LibSummaryApplies,
             Counter::SlicesBatched,
             Counter::PrefilterSkips,
-            Counter::ClassCacheHits,
         ] {
             let mut out = Vec::new();
             put_event(&mut out, &Event::Count(c, 42));

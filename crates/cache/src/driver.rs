@@ -63,9 +63,6 @@ pub struct CacheStats {
     pub slices_batched: u64,
     /// Slices the certified None pre-filter resolved without scoring.
     pub prefilter_skips: u64,
-    /// Slice classifications answered by the corpus-wide class cache
-    /// (cross-image and cross-run dedup under a shared store handle).
-    pub class_cache_hits: u64,
 }
 
 impl CacheStats {
@@ -170,9 +167,9 @@ pub fn analyze_corpus_incremental(
     // through the unit-granular funnel so clean units splice from the
     // bank files. Cache diagnostics are collected per worker and
     // replayed on the caller's observer afterwards (pipeline events are
-    // not streamed for misses, as documented). Class-cache telemetry is
-    // measured as a delta over the run — the shared cache may arrive
-    // pre-warmed by an earlier corpus under the same store handle.
+    // not streamed for misses, as documented). Classification telemetry
+    // is measured as a delta over the run — the store's tally may already
+    // hold an earlier corpus's counts.
     let class_before = cache.class_cache_stats();
     let fresh = run_pool(misses.len(), par.images, |j| {
         let mut local = CollectingObserver::default();
@@ -251,23 +248,19 @@ pub fn analyze_corpus_incremental(
         slots[i] = Some(analysis);
     }
 
-    // Batched-semantics telemetry: deltas of the store's class-cache
-    // counters over this run, reported corpus-level only (cache warmth
-    // must never perturb per-analysis counters or report bytes).
+    // Batched-semantics telemetry: deltas of the store's classification
+    // tally over this run, reported corpus-level only (cache warmth must
+    // never perturb per-analysis counters or report bytes).
     let class_after = cache.class_cache_stats();
     stats.slices_batched = class_after.batched.saturating_sub(class_before.batched);
     stats.prefilter_skips = class_after
         .prefilter_skips
         .saturating_sub(class_before.prefilter_skips);
-    stats.class_cache_hits = class_after.hits.saturating_sub(class_before.hits);
     if stats.slices_batched > 0 {
         observer.count(Counter::SlicesBatched, stats.slices_batched);
     }
     if stats.prefilter_skips > 0 {
         observer.count(Counter::PrefilterSkips, stats.prefilter_skips);
-    }
-    if stats.class_cache_hits > 0 {
-        observer.count(Counter::ClassCacheHits, stats.class_cache_hits);
     }
 
     CorpusOutcome {
@@ -320,6 +313,47 @@ mod tests {
             assert_eq!(a.diagnostics, b.diagnostics);
             assert_eq!(a.messages.len(), b.messages.len());
         }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn cold_run_batch_classifies_every_rendered_slice() {
+        let devices: Vec<_> = [3, 14, 20].map(|id| generate_device(id, 7)).into();
+        let images: Vec<&FirmwareImage> = devices.iter().map(|d| &d.firmware).collect();
+        let config = AnalysisConfig::default();
+        let mut batched = Vec::new();
+        for jobs in [1, 8] {
+            let cache = AnalysisCache::new(temp_dir(&format!("batched-{jobs}")));
+            let mut obs = CollectingObserver::default();
+            let cold = analyze_corpus_incremental(&images, None, &config, jobs, &cache, &mut obs);
+            let rendered: u64 = cold
+                .analyses
+                .iter()
+                .map(|a| a.counters.slices_rendered)
+                .sum();
+            assert!(rendered > 0, "jobs {jobs}: the devices render slices");
+            assert_eq!(cold.stats.slices_batched, rendered, "jobs {jobs}");
+            assert_eq!(obs.counters.slices_batched, rendered, "jobs {jobs}");
+            batched.push(cold.stats.slices_batched);
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
+        assert_eq!(batched[0], batched[1], "job count changes no count");
+    }
+
+    #[test]
+    fn warm_run_batch_classifies_nothing() {
+        let dev = generate_device(10, 7);
+        let images = [&dev.firmware];
+        let config = AnalysisConfig::default();
+        let cache = AnalysisCache::new(temp_dir("batched-warm"));
+        let mut obs = CollectingObserver::default();
+        let cold = analyze_corpus_incremental(&images, None, &config, 1, &cache, &mut obs);
+        assert!(cold.stats.slices_batched > 0);
+        let mut obs = CollectingObserver::default();
+        let warm = analyze_corpus_incremental(&images, None, &config, 1, &cache, &mut obs);
+        assert_eq!(warm.stats.hits, 1);
+        assert_eq!(warm.stats.slices_batched, 0);
+        assert_eq!(obs.counters.slices_batched, 0);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

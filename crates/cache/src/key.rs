@@ -122,23 +122,16 @@ impl CacheKey {
 /// here — missing one would let two differently-configured runs share
 /// entries.
 ///
-/// [`TaintConfig::cold_path`] is deliberately **excluded**: it selects
-/// between the reference and the optimized cold-path data structures,
-/// which produce byte-identical output by construction (the
-/// `coldpath_bench` gate asserts exactly that), so entries computed
-/// under either mode are interchangeable and must share cache keys.
-///
-/// The [`TaintConfig::libid`] toggle is likewise excluded — summary
-/// replay is report-byte-identical to full traversal — but the
-/// *effective index* is fingerprinted: an entry computed with a loaded
-/// known-library index records that index's skip counters, so swapping
-/// or removing the index must miss. An analysis with libid off, or on
+/// The [`TaintConfig::libid`] toggle is excluded — summary replay is
+/// report-byte-identical to full traversal — but the *effective index*
+/// is fingerprinted: an entry computed with a loaded known-library index
+/// records that index's skip counters, so swapping or removing the index
+/// must miss. An analysis with libid off, or on
 /// without an index, consults no index at all; both fold
 /// [`LibIndex::EMPTY_FINGERPRINT`] and therefore share entries.
 ///
 /// [`ExeIdConfig::score_threshold`]: firmres::ExeIdConfig
 /// [`TaintConfig`]: firmres_dataflow::TaintConfig
-/// [`TaintConfig::cold_path`]: firmres_dataflow::TaintConfig
 /// [`TaintConfig::libid`]: firmres_dataflow::TaintConfig
 /// [`LibIndex::EMPTY_FINGERPRINT`]: firmres_dataflow::LibIndex::EMPTY_FINGERPRINT
 pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
@@ -260,19 +253,6 @@ mod tests {
         let mut off_loaded = AnalysisConfig::default();
         off_loaded.taint.lib_index = Some(Arc::new(index("liba")));
         assert_eq!(f0, config_fingerprint(&off_loaded));
-    }
-
-    #[test]
-    fn cold_path_mode_shares_cache_keys() {
-        // The cold-path toggle is output-invariant (both modes produce
-        // byte-identical reports), so it must NOT enter the fingerprint:
-        // entries written under either mode are interchangeable.
-        let mut c = AnalysisConfig::default();
-        c.taint.cold_path = firmres_ir::ColdPath::Reference;
-        assert_eq!(
-            config_fingerprint(&AnalysisConfig::default()),
-            config_fingerprint(&c)
-        );
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub use key::{
 };
 pub use policy::{parse_byte_size, GcOutcome, ShardOccupancy, StorePolicy, MAX_SHARDS};
 pub use store::{
-    taint_summaries, AnalysisCache, CacheError, CachedEntry, LibUsage, StoreStats, SCHEMA_VERSION,
+    taint_summaries, AnalysisCache, CacheError, CachedEntry, ClassifyStats, LibUsage, StoreStats,
+    SCHEMA_VERSION,
 };
 pub use unit::{analyze_image_units_incremental, UnitFunnelOutcome, UnitStats};

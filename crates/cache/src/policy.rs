@@ -69,11 +69,6 @@ pub struct StorePolicy {
     /// Whether pinned artifacts are exempt from eviction. With `false`
     /// pins are advisory only and LRU order alone decides.
     pub exempt_pinned: bool,
-    /// Entry budget of the in-memory corpus-wide slice-classification
-    /// cache (distinct texts; `0` = unbounded). At the budget new texts
-    /// are still classified, just not remembered — labels never change,
-    /// only the hit rate.
-    pub class_cache_entries: usize,
 }
 
 impl Default for StorePolicy {
@@ -84,9 +79,6 @@ impl Default for StorePolicy {
             high_watermark: 1.0,
             low_watermark: 0.85,
             exempt_pinned: true,
-            // ~1M distinct texts; slice texts average well under 1 KiB,
-            // so the worst case stays within a service-sized heap.
-            class_cache_entries: 1 << 20,
         }
     }
 }
@@ -137,17 +129,6 @@ impl StorePolicy {
                     "true" => true,
                     "false" => false,
                     _ => return Err(format!("exempt_pinned: expected true/false, got {value:?}")),
-                };
-            }
-            "class_cache_entries" => {
-                self.class_cache_entries = if value.eq_ignore_ascii_case("none")
-                    || value.eq_ignore_ascii_case("unlimited")
-                {
-                    0
-                } else {
-                    value
-                        .parse()
-                        .map_err(|_| format!("class_cache_entries: not a count: {value:?}"))?
                 };
             }
             _ => return Err(format!("unknown [store] key: {key}")),

@@ -39,15 +39,14 @@ use crate::codec::{
 use crate::key::CacheKey;
 use crate::policy::{self, Evictor, GcOutcome, ShardOccupancy, StorePolicy};
 use bytes::BufMut;
+use firmres::stages::ClassifyTally;
 use firmres::{FirmwareAnalysis, HandlerInfo};
 use firmres_dataflow::TaintSummary;
 use firmres_firmware::content_hash_packed;
 use firmres_mft::MftNodeKind;
-use firmres_semantics::{ClassCache, ClassCacheStats};
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Version of the entry layout itself (header + sectioning), as opposed
 /// to [`PIPELINE_VERSION`] which covers what the sections *contain*.
@@ -172,6 +171,21 @@ pub fn taint_summaries(analysis: &FirmwareAnalysis) -> Vec<TaintSummary> {
         .collect()
 }
 
+/// Point-in-time totals of the batched classification path under one
+/// store handle ([`AnalysisCache::class_cache_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassifyStats {
+    /// Always 0 since the corpus-wide class cache was removed. Kept so
+    /// the outside-in benchmark (`firmres-benchmark/`) still builds.
+    pub hits: u64,
+    /// Always 0, like `hits`, and kept for the same reason.
+    pub misses: u64,
+    /// Slice texts classified while analyzing misses.
+    pub batched: u64,
+    /// Slices the certified None pre-filter resolved without scoring.
+    pub prefilter_skips: u64,
+}
+
 /// A content-addressed store of completed firmware analyses.
 ///
 /// One directory (or N shard subdirectories, see [`StorePolicy`]), one
@@ -186,13 +200,10 @@ pub struct AnalysisCache {
     /// Present iff the policy sets a byte budget. Clones share the
     /// accounting, so a daemon's workers see one LRU ordering.
     evictor: Option<Arc<Evictor>>,
-    /// Corpus-wide slice-classification caches, one per classifier
-    /// fingerprint (a text's label depends on the model, so caches must
-    /// never be shared across models). In-memory only — labels are
-    /// deterministic, so there is nothing durable to persist. Clones
-    /// share the map, so every image of a corpus run — and every job of
-    /// a daemon — deduplicates against the same cache.
-    class_caches: Arc<Mutex<HashMap<u64, Arc<ClassCache>>>>,
+    /// Running totals of slice classification under this store.
+    /// In-memory only; clones share it, so a daemon's workers add to
+    /// one tally.
+    class_tally: Arc<ClassifyTally>,
 }
 
 impl AnalysisCache {
@@ -229,7 +240,7 @@ impl AnalysisCache {
             policy,
             orphans_removed,
             evictor,
-            class_caches: Arc::new(Mutex::new(HashMap::new())),
+            class_tally: Arc::default(),
         };
         // Only an inherited store already over the trigger watermark is
         // collected at open; inside the hysteresis band writes accumulate.
@@ -316,32 +327,21 @@ impl AnalysisCache {
         self.artifact_path(&key.file_name())
     }
 
-    /// The corpus-wide classification cache for a classifier
-    /// fingerprint, created on first use with the policy's entry budget
-    /// ([`StorePolicy::class_cache_entries`]).
-    pub(crate) fn class_cache(&self, classifier_fp: u64) -> Arc<ClassCache> {
-        let mut caches = self.class_caches.lock().expect("class cache map");
-        Arc::clone(
-            caches
-                .entry(classifier_fp)
-                .or_insert_with(|| Arc::new(ClassCache::new(self.policy.class_cache_entries))),
-        )
+    /// The classification tally every miss analyzed through this store
+    /// counts into.
+    pub(crate) fn class_tally(&self) -> &ClassifyTally {
+        &self.class_tally
     }
 
-    /// Aggregated counters of every classification cache this store has
-    /// handed out (summed across classifier fingerprints).
-    pub fn class_cache_stats(&self) -> ClassCacheStats {
-        let caches = self.class_caches.lock().expect("class cache map");
-        let mut total = ClassCacheStats::default();
-        for cache in caches.values() {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.batched += s.batched;
-            total.prefilter_skips += s.prefilter_skips;
-            total.entries += s.entries;
+    /// Slice-classification totals since this store was opened (shared
+    /// by its clones).
+    pub fn class_cache_stats(&self) -> ClassifyStats {
+        ClassifyStats {
+            hits: 0,
+            misses: 0,
+            batched: self.class_tally.batched(),
+            prefilter_skips: self.class_tally.prefilter_skips(),
         }
-        total
     }
 
     /// Persist a finished analysis (plus its stage artifacts) under
@@ -828,6 +828,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("firmres-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn class_stats_are_shared_by_clones_and_count_no_hits() {
+        let dev = generate_device(10, 7);
+        let config = AnalysisConfig::default();
+        let cache = AnalysisCache::new(temp_dir("classstats"));
+        let clone = cache.clone();
+        crate::analyze_image_units_incremental(
+            &dev.firmware,
+            None,
+            &config,
+            1,
+            &clone,
+            &mut firmres::NullObserver,
+            None,
+        )
+        .expect("uncancelled funnel runs");
+        let rendered = analyze_firmware(&dev.firmware, None, &config)
+            .counters
+            .slices_rendered;
+        let stats = cache.class_cache_stats();
+        assert!(rendered > 0);
+        assert_eq!(stats.batched, rendered);
+        assert_eq!((stats.hits, stats.misses, stats.prefilter_skips), (0, 0, 0));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -726,16 +726,8 @@ pub fn analyze_image_units_incremental(
     stats.unit_misses += dirty.len() as u64;
 
     let engine = TaintEngine::with_config(&program, config.taint.clone());
-    let renderer = SliceRenderer::with_mode(&program, config.taint.cold_path);
-    // The classification cache is keyed by classifier fingerprint (a
-    // text's label depends on the model), so images analyzed under the
-    // same model share one corpus-wide cache while a model swap can
-    // never replay stale labels.
-    let classes = UnitClassifier::with_cache(
-        classifier,
-        config.taint.cold_path,
-        cache.class_cache(classifier_fp),
-    );
+    let renderer = SliceRenderer::new(&program);
+    let classes = UnitClassifier::counted(classifier, cache.class_tally());
     let fresh = firmres::run_pool(dirty.len(), jobs, |j| {
         if is_cancelled(cancel) {
             return None;

@@ -62,8 +62,6 @@ pub enum Counter {
     SlicesBatched,
     /// Slices the certified None pre-filter resolved without scoring.
     PrefilterSkips,
-    /// Slice classifications answered by the corpus-wide class cache.
-    ClassCacheHits,
 }
 
 /// Per-stage work counters accumulated over one analysis.
@@ -105,8 +103,10 @@ pub struct StageCounters {
     /// Slices the certified None pre-filter skipped scoring for
     /// (corpus drivers; see `slices_batched` on why).
     pub prefilter_skips: u64,
-    /// Slice classifications answered by the corpus-wide class cache
-    /// (corpus drivers; see `slices_batched` on why).
+    /// Always 0: no [`Counter`] feeds it since the corpus-wide class
+    /// cache was removed. Kept, with its slot in the cache codec's
+    /// counter block, so stored entries and the outside-in benchmark
+    /// (`firmres-benchmark/`) keep their layout and build.
     pub class_cache_hits: u64,
 }
 
@@ -130,7 +130,6 @@ impl StageCounters {
             Counter::LibSummaryApplies => self.lib_summary_applies += n,
             Counter::SlicesBatched => self.slices_batched += n,
             Counter::PrefilterSkips => self.prefilter_skips += n,
-            Counter::ClassCacheHits => self.class_cache_hits += n,
         }
     }
 
@@ -153,7 +152,6 @@ impl StageCounters {
             Counter::LibSummaryApplies => self.lib_summary_applies,
             Counter::SlicesBatched => self.slices_batched,
             Counter::PrefilterSkips => self.prefilter_skips,
-            Counter::ClassCacheHits => self.class_cache_hits,
         }
     }
 }

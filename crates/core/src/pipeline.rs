@@ -239,8 +239,8 @@ pub fn analyze_firmware_with_jobs(
     };
     let units = enumerate_units(&chosen.program, &chosen.handlers);
     let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
-    let renderer = firmres_mft::SliceRenderer::with_mode(&chosen.program, config.taint.cold_path);
-    let classes = UnitClassifier::new(classifier, config.taint.cold_path);
+    let renderer = firmres_mft::SliceRenderer::new(&chosen.program);
+    let classes = UnitClassifier::new(classifier);
     let outputs = run_pool(units.len(), jobs, |i| {
         run_message_unit(&engine, &renderer, &classes, &units[i])
     });
@@ -283,8 +283,8 @@ pub fn analyze_firmware_cancellable(
     }
     let units = enumerate_units(&chosen.program, &chosen.handlers);
     let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
-    let renderer = firmres_mft::SliceRenderer::with_mode(&chosen.program, config.taint.cold_path);
-    let classes = UnitClassifier::new(classifier, config.taint.cold_path);
+    let renderer = firmres_mft::SliceRenderer::new(&chosen.program);
+    let classes = UnitClassifier::new(classifier);
     // Each worker polls the token at the unit boundary; a unit skipped by
     // a tripped token yields `None`, which poisons the whole run below.
     let outputs = run_pool(units.len(), jobs, |i| {

@@ -58,11 +58,11 @@ use firmres_dataflow::{
     delivery_endpoint_arg, delivery_payload_arg, FieldSource, SourceKind, TaintEngine,
 };
 use firmres_firmware::FirmwareImage;
-use firmres_ir::{Address, ColdPath, Program};
+use firmres_ir::{Address, Program};
 use firmres_mft::{mentions_lan, reconstruct, CodeSlice, Mft, SliceRenderer};
-use firmres_semantics::{weak_label, ClassCache, Classifier, Primitive};
+use firmres_semantics::{weak_label_streamed, Classifier, Primitive};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// The read-only inputs of one analysis, shared by every message unit.
@@ -274,64 +274,80 @@ pub struct SliceSemantics {
     pub primitives: Vec<Vec<Primitive>>,
 }
 
+/// Running totals of the batched classification path. Every
+/// [`UnitClassifier`] handed the same tally adds to it; the analysis
+/// store keeps one across images and service requests.
+#[derive(Debug, Default)]
+pub struct ClassifyTally {
+    batched: AtomicU64,
+    prefilter_skips: AtomicU64,
+}
+
+impl ClassifyTally {
+    /// Slice texts classified so far.
+    pub fn batched(&self) -> u64 {
+        self.batched.load(Ordering::Relaxed)
+    }
+
+    /// Slices the certified None pre-filter resolved without scoring.
+    pub fn prefilter_skips(&self) -> u64 {
+        self.prefilter_skips.load(Ordering::Relaxed)
+    }
+}
+
 /// Classification front end shared by every message unit.
 ///
-/// Dispatches on [`ColdPath`]: the reference mode classifies each slice
-/// from scratch, one at a time (`Classifier::predict` with a model,
-/// [`weak_label`] without), the optimized mode batches a unit's slices
-/// into one [`ClassCache::classify_batch`] call — shared featurizer
-/// scratch, argmax-only scoring, certified None pre-filter, and a
-/// dedup cache that can be *corpus-wide*: [`UnitClassifier::with_cache`]
-/// accepts a cache shared across images and service requests, while
-/// [`UnitClassifier::new`] makes a private per-image one. Both modes
-/// return the same primitive for every text; only the cost differs.
+/// A unit's slices go through one [`Classifier::predict_batch`] call
+/// with the certified None pre-filter on, or through the streamed
+/// keyword labeler when there is no model. Either way each slice gets
+/// exactly the label a per-slice `Classifier::predict` (or
+/// `weak_label`) would give it; the property tests in
+/// `firmres-semantics` pin both equalities.
 pub struct UnitClassifier<'a> {
-    mode: ColdPath,
     classifier: Option<&'a Classifier>,
-    cache: Arc<ClassCache>,
+    tally: Option<&'a ClassifyTally>,
 }
 
 impl<'a> UnitClassifier<'a> {
-    /// Build a front end over an optional trained model, with a private
-    /// (per-image, unbounded) classification cache.
-    pub fn new(classifier: Option<&'a Classifier>, mode: ColdPath) -> Self {
-        Self::with_cache(classifier, mode, Arc::new(ClassCache::new(0)))
+    /// A front end over an optional trained model.
+    pub fn new(classifier: Option<&'a Classifier>) -> Self {
+        UnitClassifier {
+            classifier,
+            tally: None,
+        }
     }
 
-    /// Build a front end over a shared classification cache (corpus
-    /// drivers and the service pass one cache across many images; the
-    /// cache never changes labels, so sharing is observability-safe).
-    pub fn with_cache(
-        classifier: Option<&'a Classifier>,
-        mode: ColdPath,
-        cache: Arc<ClassCache>,
-    ) -> Self {
+    /// A front end that also counts what it classifies into `tally`.
+    pub fn counted(classifier: Option<&'a Classifier>, tally: &'a ClassifyTally) -> Self {
         UnitClassifier {
-            mode,
             classifier,
-            cache,
+            tally: Some(tally),
         }
     }
 
     /// Classify one unit's slice texts: with the trained classifier when
     /// given, otherwise the keyword weak-labeler.
     pub fn classify_batch(&self, texts: &[&str]) -> Vec<Primitive> {
-        match self.mode {
-            ColdPath::Reference => texts
-                .iter()
-                .map(|text| match self.classifier {
-                    Some(c) => c.predict(text).0,
-                    None => weak_label(text),
-                })
-                .collect(),
-            ColdPath::Optimized => self.cache.classify_batch(self.classifier, texts),
+        let (labels, skips) = match self.classifier {
+            Some(model) => {
+                let outcome = model.predict_batch(texts, true);
+                (outcome.labels, outcome.prefilter_skips)
+            }
+            None => (
+                texts
+                    .iter()
+                    .map(|t| weak_label_streamed(t).map_or(Primitive::None, |h| h.primitive))
+                    .collect(),
+                0,
+            ),
+        };
+        if let Some(tally) = self.tally {
+            tally
+                .batched
+                .fetch_add(texts.len() as u64, Ordering::Relaxed);
+            tally.prefilter_skips.fetch_add(skips, Ordering::Relaxed);
         }
-    }
-
-    /// The classification cache behind the optimized mode (for
-    /// stats reporting; empty under [`ColdPath::Reference`]).
-    pub fn cache(&self) -> &ClassCache {
-        &self.cache
+        labels
     }
 }
 
@@ -1007,9 +1023,8 @@ impl SemanticsStage {
         raws: &[RawMessage],
     ) -> SliceSemantics {
         cx.run_stage(StageKind::Semantics, |cx| {
-            let mode = cx.inputs.config.taint.cold_path;
-            let renderer = SliceRenderer::with_mode(&chosen.program, mode);
-            let classes = UnitClassifier::new(cx.inputs.classifier, mode);
+            let renderer = SliceRenderer::new(&chosen.program);
+            let classes = UnitClassifier::new(cx.inputs.classifier);
             let mut slices = Vec::with_capacity(raws.len());
             let mut labeled = Vec::with_capacity(raws.len());
             let mut primitives = Vec::with_capacity(raws.len());
@@ -1145,6 +1160,59 @@ mod tests {
             assert_eq!(x.callsite, y.callsite);
             assert_eq!(x.callee, y.callee);
         }
+    }
+
+    /// Slice-like texts: some the tiny model below separates, some only
+    /// the keyword labeler knows, and the empty slice.
+    const TEXTS: [&str; 6] = [
+        "mac addr device 42",
+        "password login 9",
+        "uptime counter 3",
+        "CALL (Fun, get_mac_addr) mac=%s",
+        "(Cons, \"device_key\")",
+        "",
+    ];
+
+    #[test]
+    fn unit_classifier_gives_per_slice_predict_labels_and_counts_them() {
+        use firmres_semantics::TrainConfig;
+        let data: Vec<(String, Primitive)> = (0..10)
+            .flat_map(|i| {
+                [
+                    (format!("mac addr device {i}"), Primitive::DevIdentifier),
+                    (format!("password login {i}"), Primitive::UserCred),
+                    (format!("uptime counter {i}"), Primitive::None),
+                ]
+            })
+            .collect();
+        let config = TrainConfig {
+            epochs: 10,
+            ..TrainConfig::default()
+        };
+        let model = Classifier::train(&data, &config);
+        let tally = ClassifyTally::default();
+        let classes = UnitClassifier::counted(Some(&model), &tally);
+        let labels = classes.classify_batch(&TEXTS);
+        for (text, got) in TEXTS.iter().zip(&labels) {
+            assert_eq!(*got, model.predict(text).0, "on {text:?}");
+        }
+        classes.classify_batch(&TEXTS[..2]);
+        assert_eq!(tally.batched(), 8);
+        let skips = model.predict_batch(&TEXTS, true).prefilter_skips
+            + model.predict_batch(&TEXTS[..2], true).prefilter_skips;
+        assert_eq!(tally.prefilter_skips(), skips);
+    }
+
+    #[test]
+    fn unit_classifier_weak_labels_without_a_model() {
+        let tally = ClassifyTally::default();
+        let labels = UnitClassifier::counted(None, &tally).classify_batch(&TEXTS);
+        for (text, got) in TEXTS.iter().zip(&labels) {
+            assert_eq!(*got, firmres_semantics::weak_label(text), "on {text:?}");
+        }
+        assert_eq!(tally.batched(), TEXTS.len() as u64);
+        assert_eq!(tally.prefilter_skips(), 0);
+        assert_eq!(UnitClassifier::new(None).classify_batch(&TEXTS), labels);
     }
 
     #[test]

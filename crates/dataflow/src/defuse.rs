@@ -1,7 +1,7 @@
 //! Intra-procedural reaching definitions over the IR.
 
-use firmres_ir::{BlockId, ColdPath, FnvBuildHasher, Function, PcodeOp, Varnode};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use firmres_ir::{BlockId, FnvBuildHasher, Function, PcodeOp, Varnode};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Position of an operation within a function: `(block, index in block)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -12,20 +12,6 @@ pub struct OpRef {
     pub index: usize,
 }
 
-/// Per-block entry states of the fixpoint, in one of the two cold-path
-/// layouts (see `DESIGN.md` §10). Both hold the same least-fixpoint
-/// solution — the unique solution of the dataflow equations — so queries
-/// answer identically from either.
-#[derive(Debug)]
-enum EntryStates {
-    /// One ordered set of reaching definition indices per block — the
-    /// pre-optimization layout, kept as the benchmark baseline.
-    Reference(Vec<BTreeSet<usize>>),
-    /// One dense bitset per block: `stride` words per block, bit `d` of
-    /// block `b`'s row set iff definition `d` reaches `b`'s entry.
-    Bitset { words: Vec<u64>, stride: usize },
-}
-
 /// Reaching-definitions analysis for one function.
 ///
 /// Definitions are operations whose `output` is a given varnode. The
@@ -34,11 +20,9 @@ enum EntryStates {
 /// backward scan inside the block.
 ///
 /// [`DefUse::compute`] solves with dense u64-word bitsets and a
-/// dirty-block worklist; [`DefUse::compute_reference`] runs the original
-/// `BTreeSet` formulation. Both reach the same (unique) least fixpoint,
-/// so [`DefUse::reaching_defs`] returns identical results either way —
-/// `compute_reference` exists as the measured baseline of the cold-path
-/// benchmark.
+/// dirty-block worklist. The original `BTreeSet` formulation survives as
+/// the `#[cfg(test)]` oracle: both reach the same (unique) least
+/// fixpoint, so [`DefUse::reaching_defs`] must answer identically.
 ///
 /// # Examples
 ///
@@ -68,8 +52,11 @@ pub struct DefUse {
     /// Contiguous range of `defs` indices per block (defs are collected
     /// in block order, so each block's definitions form one run).
     block_def_ranges: Vec<(u32, u32)>,
-    /// Per-block reaching-definition state at block entry.
-    entry: EntryStates,
+    /// Per-block reaching-definition state at block entry: `stride`
+    /// words per block, bit `d` of block `b`'s row set iff definition `d`
+    /// reaches `b`'s entry.
+    entry: Vec<u64>,
+    stride: usize,
     /// Map from op address to position (first occurrence).
     addr_index: BTreeMap<u64, OpRef>,
     /// Block op lists are borrowed through the function; we keep block
@@ -77,8 +64,8 @@ pub struct DefUse {
     block_lens: Vec<usize>,
 }
 
-/// The common front half of both solvers: definition sites, address
-/// index, block lengths and per-block def ranges.
+/// The front half of the solver: definition sites, address index, block
+/// lengths and per-block def ranges.
 struct DefSites {
     defs: Vec<(OpRef, Varnode)>,
     block_def_ranges: Vec<(u32, u32)>,
@@ -116,22 +103,10 @@ fn collect_defs(f: &Function) -> DefSites {
 }
 
 impl DefUse {
-    /// Run the analysis on `f` with the optimized (bitset) state layout.
+    /// Run the analysis on `f`: per-block gen/kill masks over the
+    /// definition index space, a dirty-block worklist, and word-wise
+    /// transfer.
     pub fn compute(f: &Function) -> Self {
-        Self::compute_with(f, ColdPath::Optimized)
-    }
-
-    /// Run the analysis with the layout `mode` selects.
-    pub fn compute_with(f: &Function, mode: ColdPath) -> Self {
-        match mode {
-            ColdPath::Reference => Self::compute_reference(f),
-            ColdPath::Optimized => Self::compute_bitset(f),
-        }
-    }
-
-    /// Bitset solver: per-block gen/kill masks over the definition
-    /// index space, a dirty-block worklist, and word-wise transfer.
-    fn compute_bitset(f: &Function) -> Self {
         let sites = collect_defs(f);
         let nblocks = f.blocks().len();
         let ndefs = sites.defs.len();
@@ -207,64 +182,8 @@ impl DefUse {
         DefUse {
             defs: sites.defs,
             block_def_ranges: sites.block_def_ranges,
-            entry: EntryStates::Bitset {
-                words: block_in,
-                stride,
-            },
-            addr_index: sites.addr_index,
-            block_lens: sites.block_lens,
-        }
-    }
-
-    /// The pre-optimization solver, verbatim: `BTreeSet` states and a
-    /// `Vec` worklist with linear membership scans.
-    pub fn compute_reference(f: &Function) -> Self {
-        let sites = collect_defs(f);
-        let nblocks = f.blocks().len();
-        let defs = &sites.defs;
-        // gen[b]: last def index per varnode in block b.
-        // kill handled implicitly: a def of v kills all other defs of v.
-        let mut gen_last: Vec<BTreeMap<&Varnode, usize>> = vec![BTreeMap::new(); nblocks];
-        let mut killed_vars: Vec<BTreeSet<&Varnode>> = vec![BTreeSet::new(); nblocks];
-        for (i, (r, v)) in defs.iter().enumerate() {
-            let b = r.block.0 as usize;
-            gen_last[b].insert(v, i);
-            killed_vars[b].insert(v);
-        }
-        let preds = f.predecessors();
-        let mut block_in: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nblocks];
-        let mut block_out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nblocks];
-        let mut work: Vec<usize> = (0..nblocks).collect();
-        while let Some(b) = work.pop() {
-            let mut input = BTreeSet::new();
-            for p in &preds[b] {
-                input.extend(block_out[p.0 as usize].iter().copied());
-            }
-            let mut out: BTreeSet<usize> = input
-                .iter()
-                .copied()
-                .filter(|&d| !killed_vars[b].contains(&defs[d].1))
-                .collect();
-            out.extend(gen_last[b].values().copied());
-            let changed = out != block_out[b] || input != block_in[b];
-            block_in[b] = input;
-            if changed {
-                block_out[b] = out;
-                for (sb, blk) in f.blocks().iter().enumerate() {
-                    let _ = blk;
-                    // successors of b get re-queued
-                    if f.blocks()[b].successors.iter().any(|s| s.0 as usize == sb)
-                        && !work.contains(&sb)
-                    {
-                        work.push(sb);
-                    }
-                }
-            }
-        }
-        DefUse {
-            defs: sites.defs,
-            block_def_ranges: sites.block_def_ranges,
-            entry: EntryStates::Reference(block_in),
+            entry: block_in,
+            stride,
             addr_index: sites.addr_index,
             block_lens: sites.block_lens,
         }
@@ -291,56 +210,31 @@ impl DefUse {
         if b >= self.block_lens.len() {
             return Vec::new();
         }
-        match &self.entry {
-            EntryStates::Reference(block_in) => {
-                // Backward scan within the block (the original full-`defs`
-                // walk, preserved as the benchmark baseline).
-                let mut best: Option<OpRef> = None;
-                for (r, v) in self.defs.iter().rev() {
-                    if r.block == at.block && r.index < at.index && v == varnode {
-                        best = Some(*r);
-                        break;
-                    }
-                }
-                if let Some(r) = best {
-                    return vec![r];
-                }
-                // Fall back to block-entry state.
-                block_in[b]
-                    .iter()
-                    .filter(|&&d| &self.defs[d].1 == varnode)
-                    .map(|&d| self.defs[d].0)
-                    .collect()
-            }
-            EntryStates::Bitset { words, stride } => {
-                // Backward scan within the block, restricted to the
-                // block's own contiguous run of definitions.
-                let (start, end) = self.block_def_ranges[b];
-                for i in (start..end).rev() {
-                    let (r, v) = &self.defs[i as usize];
-                    if r.index < at.index && v == varnode {
-                        return vec![*r];
-                    }
-                }
-                // Fall back to block-entry state: walk the set bits in
-                // ascending definition order (matching the ordered-set
-                // iteration of the reference layout).
-                let row = &words[b * stride..(b + 1) * stride];
-                let mut out = Vec::new();
-                for (w, &word) in row.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let d = (w << 6) + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let (r, v) = &self.defs[d];
-                        if v == varnode {
-                            out.push(*r);
-                        }
-                    }
-                }
-                out
+        // Backward scan within the block, restricted to the block's own
+        // contiguous run of definitions.
+        let (start, end) = self.block_def_ranges[b];
+        for i in (start..end).rev() {
+            let (r, v) = &self.defs[i as usize];
+            if r.index < at.index && v == varnode {
+                return vec![*r];
             }
         }
+        // Fall back to block-entry state: walk the set bits in ascending
+        // definition order.
+        let row = &self.entry[b * self.stride..(b + 1) * self.stride];
+        let mut out = Vec::new();
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let d = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (r, v) = &self.defs[d];
+                if v == varnode {
+                    out.push(*r);
+                }
+            }
+        }
+        out
     }
 
     /// Total number of definition sites.
@@ -363,6 +257,84 @@ pub fn op_at(f: &Function, r: OpRef) -> &PcodeOp {
 mod tests {
     use super::*;
     use firmres_ir::{FunctionBuilder, Opcode, Varnode};
+    use std::collections::BTreeSet;
+
+    /// The pre-optimization solver, verbatim: `BTreeSet` states and a
+    /// `Vec` worklist with linear membership scans. The oracle
+    /// [`DefUse::compute`]'s bitset solver is checked against.
+    struct ReferenceDefUse {
+        defs: Vec<(OpRef, Varnode)>,
+        block_in: Vec<BTreeSet<usize>>,
+    }
+
+    impl ReferenceDefUse {
+        fn compute(f: &Function) -> Self {
+            let sites = collect_defs(f);
+            let nblocks = f.blocks().len();
+            let defs = &sites.defs;
+            // gen[b]: last def index per varnode in block b.
+            // kill handled implicitly: a def of v kills all other defs of v.
+            let mut gen_last: Vec<BTreeMap<&Varnode, usize>> = vec![BTreeMap::new(); nblocks];
+            let mut killed_vars: Vec<BTreeSet<&Varnode>> = vec![BTreeSet::new(); nblocks];
+            for (i, (r, v)) in defs.iter().enumerate() {
+                let b = r.block.0 as usize;
+                gen_last[b].insert(v, i);
+                killed_vars[b].insert(v);
+            }
+            let preds = f.predecessors();
+            let mut block_in: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nblocks];
+            let mut block_out: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nblocks];
+            let mut work: Vec<usize> = (0..nblocks).collect();
+            while let Some(b) = work.pop() {
+                let mut input = BTreeSet::new();
+                for p in &preds[b] {
+                    input.extend(block_out[p.0 as usize].iter().copied());
+                }
+                let mut out: BTreeSet<usize> = input
+                    .iter()
+                    .copied()
+                    .filter(|&d| !killed_vars[b].contains(&defs[d].1))
+                    .collect();
+                out.extend(gen_last[b].values().copied());
+                let changed = out != block_out[b] || input != block_in[b];
+                block_in[b] = input;
+                if changed {
+                    block_out[b] = out;
+                    for sb in 0..nblocks {
+                        // successors of b get re-queued
+                        if f.blocks()[b].successors.iter().any(|s| s.0 as usize == sb)
+                            && !work.contains(&sb)
+                        {
+                            work.push(sb);
+                        }
+                    }
+                }
+            }
+            ReferenceDefUse {
+                defs: sites.defs,
+                block_in,
+            }
+        }
+
+        /// The original query: a backward walk over every definition,
+        /// then the block-entry set in ascending order.
+        fn reaching_defs(&self, at: OpRef, varnode: &Varnode) -> Vec<OpRef> {
+            let b = at.block.0 as usize;
+            if b >= self.block_in.len() {
+                return Vec::new();
+            }
+            for (r, v) in self.defs.iter().rev() {
+                if r.block == at.block && r.index < at.index && v == varnode {
+                    return vec![*r];
+                }
+            }
+            self.block_in[b]
+                .iter()
+                .filter(|&&d| &self.defs[d].1 == varnode)
+                .map(|&d| self.defs[d].0)
+                .collect()
+        }
+    }
 
     /// x = 1; if (p) { x = 2 } ; use x
     fn diamond() -> Function {
@@ -498,8 +470,8 @@ mod tests {
     /// bitset and reference solvers.
     fn assert_same_analysis(f: &Function) {
         let fast = DefUse::compute(f);
-        let slow = DefUse::compute_reference(f);
-        assert_eq!(fast.def_count(), slow.def_count());
+        let slow = ReferenceDefUse::compute(f);
+        assert_eq!(fast.def_count(), slow.defs.len());
         let vars: Vec<Varnode> = {
             let mut vs: Vec<Varnode> = f
                 .ops()
@@ -578,5 +550,18 @@ mod tests {
         let du = DefUse::compute(&f);
         assert!(du.def_count() > 64, "need multi-word rows");
         assert_same_analysis(&f);
+    }
+
+    #[test]
+    fn bitset_matches_reference_on_every_traced_corpus_function() {
+        let mut checked = 0;
+        for cp in crate::testkit::corpus() {
+            for entry in cp.traced_functions() {
+                let f = cp.program.function(entry).expect("traced function exists");
+                assert_same_analysis(f);
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no traced function to compare");
     }
 }

@@ -50,6 +50,8 @@ mod libsum;
 mod region;
 mod summary;
 mod taint;
+#[cfg(test)]
+mod testkit;
 
 pub use defuse::{DefUse, OpRef};
 pub use libsum::{

@@ -15,8 +15,8 @@ use crate::libsum::{
 use crate::region::{resolve_region, Region};
 use crate::summary::{summary_for, SourceKind, Summary, SummaryEffect};
 use firmres_ir::{
-    function_content_hash, is_import_address, Address, BlockId, CallGraph, ColdPath,
-    FnvBuildHasher, Function, Interner, Opcode, PcodeOp, Program, Sym, Varnode,
+    function_content_hash, is_import_address, Address, BlockId, CallGraph, FnvBuildHasher,
+    Function, Interner, Opcode, PcodeOp, Program, Sym, Varnode,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -353,16 +353,12 @@ pub struct TaintConfig {
     /// Disabling this is the naive-sink ablation: the message argument
     /// itself becomes an opaque sink and per-field recovery collapses.
     pub decompose_buffers: bool,
-    /// Which cold-path data-structure implementation to run (see
-    /// [`ColdPath`]). Output is byte-identical either way, so this knob
-    /// is deliberately **not** part of the cache's config fingerprint.
-    pub cold_path: ColdPath,
     /// Known-library identification (see [`LibId`]): with `On` and a
     /// [`TaintConfig::lib_index`], functions whose content hash matches
     /// the index are replayed from recorded scripts instead of being
     /// traversed. Output is byte-identical either way (the scripts are
-    /// faithful traversal transcripts), so like [`ColdPath`] the toggle
-    /// itself is not fingerprinted — but the *index content* is (see
+    /// faithful traversal transcripts), so the toggle itself is not
+    /// fingerprinted — but the *index content* is (see
     /// `firmres-cache`'s config fingerprint).
     pub libid: LibId,
     /// The known-library index consulted when [`TaintConfig::libid`] is
@@ -377,7 +373,6 @@ impl Default for TaintConfig {
             max_nodes: 4096,
             overtaint: true,
             decompose_buffers: true,
-            cold_path: ColdPath::default(),
             libid: LibId::Off,
             lib_index: None,
         }
@@ -449,71 +444,18 @@ struct WriteHit {
     descend: Option<(Address, usize)>,
 }
 
-/// Block-level reachability closure per function, in the layout the
-/// engine's [`ColdPath`] mode selects.
-enum Reach {
-    /// Ordered successor sets — the pre-optimization layout.
-    Reference(Vec<BTreeSet<u32>>),
-    /// One dense bitset row per block: bit `t` of row `f` set iff block
-    /// `f` can reach block `t`.
-    Bits { words: Vec<u64>, stride: usize },
-}
-
-/// The already-explored set of `(function, op, varnode)` taint facts, in
-/// the layout the engine's [`ColdPath`] mode selects. Both are exact
-/// sets — only lookup cost differs.
-enum VisitedVals {
-    Reference(BTreeSet<(Address, OpRef, Varnode)>),
-    Optimized(HashSet<(Address, OpRef, Varnode), FnvBuildHasher>),
-}
-
-impl VisitedVals {
-    fn new(mode: ColdPath) -> Self {
-        match mode {
-            ColdPath::Reference => VisitedVals::Reference(BTreeSet::new()),
-            ColdPath::Optimized => VisitedVals::Optimized(HashSet::default()),
-        }
-    }
-
-    fn insert(&mut self, key: (Address, OpRef, Varnode)) -> bool {
-        match self {
-            VisitedVals::Reference(set) => set.insert(key),
-            VisitedVals::Optimized(set) => set.insert(key),
-        }
-    }
-}
-
-/// The already-explored set of `(function, region, before)` region scans.
-///
-/// The reference layout keys by the region's `Debug` rendering — a
-/// `String` formatted per lookup, the cost the ISSUE's interned-key hash
-/// set removes. Derived `Debug` is injective over [`XRegion`]'s numeric
-/// payloads, so both layouts recognize exactly the same revisits.
-enum VisitedRegions {
-    Reference(BTreeSet<(Address, String, Option<OpRef>)>),
-    Optimized(HashSet<(Address, XRegion, Option<OpRef>), FnvBuildHasher>),
-}
-
-impl VisitedRegions {
-    fn new(mode: ColdPath) -> Self {
-        match mode {
-            ColdPath::Reference => VisitedRegions::Reference(BTreeSet::new()),
-            ColdPath::Optimized => VisitedRegions::Optimized(HashSet::default()),
-        }
-    }
-
-    fn insert(&mut self, func: Address, region: &XRegion, before: Option<OpRef>) -> bool {
-        match self {
-            VisitedRegions::Reference(set) => set.insert((func, format!("{region:?}"), before)),
-            VisitedRegions::Optimized(set) => set.insert((func, region.clone(), before)),
-        }
-    }
+/// Block-level reachability closure of one function: one dense bitset
+/// row per block, bit `t` of row `f` set iff block `f` can reach block
+/// `t`.
+struct Reach {
+    words: Vec<u64>,
+    stride: usize,
 }
 
 struct Cx {
     tree: TaintTree,
-    visited_vals: VisitedVals,
-    visited_regions: VisitedRegions,
+    visited_vals: HashSet<(Address, OpRef, Varnode), FnvBuildHasher>,
+    visited_regions: HashSet<(Address, XRegion, Option<OpRef>), FnvBuildHasher>,
     call_stack: Vec<(Address, Address)>, // (caller entry, callsite addr)
     deps: TraceDeps,
     lib_stats: LibStats,
@@ -727,7 +669,7 @@ impl<'p> TaintEngine<'p> {
         // Compute outside the lock (idempotent: racing fills produce the
         // same value and the first insert wins for everyone).
         let f = self.program.function(func).expect("function exists");
-        let du = Arc::new(DefUse::compute_with(f, self.config.cold_path));
+        let du = Arc::new(DefUse::compute(f));
         Arc::clone(self.defuse.write().entry(func).or_insert(du))
     }
 
@@ -743,12 +685,8 @@ impl<'p> TaintEngine<'p> {
         if from == to {
             return true;
         }
-        match &*self.reach_sets(func) {
-            Reach::Reference(sets) => sets[from as usize].contains(&to),
-            Reach::Bits { words, stride } => {
-                words[from as usize * stride + (to as usize >> 6)] >> (to & 63) & 1 == 1
-            }
-        }
+        let Reach { words, stride } = &*self.reach_sets(func);
+        words[from as usize * stride + (to as usize >> 6)] >> (to & 63) & 1 == 1
     }
 
     fn reach_sets(&self, func: Address) -> Arc<Reach> {
@@ -757,44 +695,24 @@ impl<'p> TaintEngine<'p> {
         }
         let f = self.program.function(func).expect("function exists");
         let n = f.blocks().len();
-        let reach = match self.config.cold_path {
-            ColdPath::Reference => {
-                let mut sets: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-                for (start, set) in sets.iter_mut().enumerate() {
-                    let mut seen = BTreeSet::new();
-                    let mut q = vec![start as u32];
-                    while let Some(b) = q.pop() {
-                        for s in &f.blocks()[b as usize].successors {
-                            if seen.insert(s.0) {
-                                q.push(s.0);
-                            }
-                        }
-                    }
-                    *set = seen;
-                }
-                Reach::Reference(sets)
-            }
-            ColdPath::Optimized => {
-                let stride = n.div_ceil(64).max(1);
-                let mut words = vec![0u64; n * stride];
-                let mut q: Vec<u32> = Vec::new();
-                for start in 0..n {
-                    let base = start * stride;
-                    q.push(start as u32);
-                    while let Some(b) = q.pop() {
-                        for s in &f.blocks()[b as usize].successors {
-                            let bit = &mut words[base + (s.0 as usize >> 6)];
-                            if *bit >> (s.0 & 63) & 1 == 0 {
-                                *bit |= 1u64 << (s.0 & 63);
-                                q.push(s.0);
-                            }
-                        }
+        let stride = n.div_ceil(64).max(1);
+        let mut words = vec![0u64; n * stride];
+        let mut q: Vec<u32> = Vec::new();
+        for start in 0..n {
+            let base = start * stride;
+            q.push(start as u32);
+            while let Some(b) = q.pop() {
+                for s in &f.blocks()[b as usize].successors {
+                    let bit = &mut words[base + (s.0 as usize >> 6)];
+                    if *bit >> (s.0 & 63) & 1 == 0 {
+                        *bit |= 1u64 << (s.0 & 63);
+                        q.push(s.0);
                     }
                 }
-                Reach::Bits { words, stride }
             }
-        };
-        Arc::clone(self.reach.write().entry(func).or_insert(Arc::new(reach)))
+        }
+        let reach = Arc::new(Reach { words, stride });
+        Arc::clone(self.reach.write().entry(func).or_insert(reach))
     }
 
     /// Trace the message held in argument `arg` of the call at
@@ -897,8 +815,8 @@ impl<'p> TaintEngine<'p> {
     ) -> (TaintTree, TraceDeps, LibStats) {
         let mut cx = Cx {
             tree: TaintTree::default(),
-            visited_vals: VisitedVals::new(self.config.cold_path),
-            visited_regions: VisitedRegions::new(self.config.cold_path),
+            visited_vals: HashSet::default(),
+            visited_regions: HashSet::default(),
             call_stack: Vec::new(),
             deps: TraceDeps::default(),
             lib_stats: LibStats::default(),
@@ -1566,16 +1484,16 @@ impl<'p> TaintEngine<'p> {
             );
             return;
         }
-        if !cx.visited_regions.insert(func, region, before) {
+        if !cx.visited_regions.insert((func, region.clone(), before)) {
             // Same duplicate-guard rule as for value guards.
             cx.rec_poison("duplicate region guard in one role");
             return;
         }
         let f = self.program.function(func).expect("function exists");
-        let hits = match self.config.cold_path {
-            ColdPath::Reference => self.region_write_hits_reference(func, region, before, f),
-            ColdPath::Optimized => self.region_write_hits_optimized(func, region, before, f),
-        };
+        let hits = self.region_write_hits(func, region, before, f);
+        // Test builds check every scan against the reference scan.
+        #[cfg(test)]
+        tests::assert_scan_matches_reference(self, func, region, before, f, &hits);
         if hits.is_empty() {
             self.leaf(
                 cx,
@@ -1590,160 +1508,14 @@ impl<'p> TaintEngine<'p> {
         self.taint_write_hits(cx, func, hits, parent, depth);
     }
 
-    /// The pre-optimization write scan, verbatim: materializes every op
-    /// of the function (with a linear position search per op), resolves
-    /// and clones the callee name of every call, and rebuilds library
-    /// summaries per callsite. Kept as the cold-path benchmark baseline.
-    fn region_write_hits_reference(
-        &self,
-        func: Address,
-        region: &XRegion,
-        before: Option<OpRef>,
-        f: &Function,
-    ) -> Vec<WriteHit> {
-        let mut hits: Vec<WriteHit> = Vec::new();
-        let positions: Vec<(OpRef, PcodeOp)> = f
-            .ops_with_blocks()
-            .map(|(b, op)| {
-                let index = f
-                    .block(b)
-                    .ops
-                    .iter()
-                    .position(|o| std::ptr::eq(o, op))
-                    .unwrap_or(0);
-                (OpRef { block: b, index }, op.clone())
-            })
-            .collect();
-        for (at, op) in positions {
-            if let Some(limit) = before {
-                let ok = if at.block == limit.block {
-                    at.index < limit.index
-                } else {
-                    self.reachable(func, at.block.0, limit.block.0)
-                };
-                if !ok {
-                    continue;
-                }
-            }
-            match op.opcode {
-                Opcode::Copy => {
-                    // Direct store into a stack slot inside the region.
-                    if let (Some(out), XRegion::Plain(Region::Stack(base))) = (&op.output, region) {
-                        if let Some(off) = out.stack_offset() {
-                            if self.offset_in_local(f, *base, off) {
-                                hits.push(WriteHit {
-                                    at,
-                                    op: op.clone(),
-                                    values: vec![op.inputs[0].clone()],
-                                    via: "store".into(),
-                                    descend: None,
-                                });
-                            }
-                        }
-                    }
-                }
-                Opcode::Store => {
-                    let addr_v = &op.inputs[0];
-                    if self.xregion_matches(func, at, addr_v, region, f) {
-                        hits.push(WriteHit {
-                            at,
-                            op: op.clone(),
-                            values: vec![op.inputs[1].clone()],
-                            via: "store".into(),
-                            descend: None,
-                        });
-                    }
-                }
-                Opcode::Call => {
-                    let Some(target) = op.call_target() else {
-                        continue;
-                    };
-                    let callee_name = self
-                        .program
-                        .callee_name(target)
-                        .unwrap_or("<unknown>")
-                        .to_string();
-                    if is_import_address(target) {
-                        if let Some(summary) = summary_for(&callee_name) {
-                            for eff in &summary.effects {
-                                match eff {
-                                    SummaryEffect::ArgFrom { dst, srcs } => {
-                                        let Some(dst_v) = op.call_args().get(*dst) else {
-                                            continue;
-                                        };
-                                        if self.xregion_matches(func, at, dst_v, region, f) {
-                                            let values: Vec<Varnode> = srcs
-                                                .iter()
-                                                .filter_map(|&s| op.call_args().get(s).cloned())
-                                                // strcat's dst also appears as a src;
-                                                // skip self-reference to avoid a
-                                                // degenerate cycle (the earlier writes
-                                                // are found by this same scan).
-                                                .filter(|a| {
-                                                    !self.xregion_matches(func, at, a, region, f)
-                                                })
-                                                .collect();
-                                            hits.push(WriteHit {
-                                                at,
-                                                op: op.clone(),
-                                                values,
-                                                via: callee_name.clone(),
-                                                descend: None,
-                                            });
-                                        }
-                                    }
-                                    SummaryEffect::ArgSource { dst, kind, key } => {
-                                        let Some(dst_v) = op.call_args().get(*dst) else {
-                                            continue;
-                                        };
-                                        if self.xregion_matches(func, at, dst_v, region, f) {
-                                            hits.push(WriteHit {
-                                                at,
-                                                op: op.clone(),
-                                                values: Vec::new(),
-                                                via: format!(
-                                                    "{callee_name}:{}:{}",
-                                                    kind.label(),
-                                                    key
-                                                ),
-                                                descend: None,
-                                            });
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
-                        }
-                    } else {
-                        // Internal call taking the buffer: writes may occur
-                        // inside the callee through the pointer parameter.
-                        for (j, arg) in op.call_args().iter().enumerate() {
-                            if self.xregion_matches(func, at, arg, region, f) {
-                                hits.push(WriteHit {
-                                    at,
-                                    op: op.clone(),
-                                    values: Vec::new(),
-                                    via: callee_name.clone(),
-                                    descend: Some((target, j)),
-                                });
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        hits
-    }
-
-    /// The optimized write scan: ops are enumerated directly by
-    /// `(block, index)` (no position search, no up-front clone of the
-    /// whole function body), call targets resolve through the interned
-    /// [`CalleeInfo`] table (address → pre-resolved summary, no string
-    /// hashing or cloning), and names are materialized only for actual
-    /// hits. Hit discovery order and contents match the reference scan
-    /// exactly.
-    fn region_write_hits_optimized(
+    /// Every write into `region` in `func` that can execute before
+    /// `before`. Ops are enumerated directly by `(block, index)`, call
+    /// targets resolve through the interned [`CalleeInfo`] table
+    /// (address → pre-resolved summary, no string hashing or cloning),
+    /// and names are materialized only for actual hits. Hit discovery
+    /// order and contents match the reference scan (the `#[cfg(test)]`
+    /// oracle) exactly.
+    fn region_write_hits(
         &self,
         func: Address,
         region: &XRegion,
@@ -2169,8 +1941,10 @@ impl<'p> TaintEngine<'p> {
                         i = skip_open(steps, i);
                         continue;
                     }
-                    let xr = lib_xregion(region);
-                    if !cx.visited_regions.insert(lib.entry, &xr, *before) {
+                    if !cx
+                        .visited_regions
+                        .insert((lib.entry, lib_xregion(region), *before))
+                    {
                         i = skip_open(steps, i);
                         continue;
                     }
@@ -2329,8 +2103,8 @@ impl<'p> TaintEngine<'p> {
     fn record_role(&self, entry: Address, role: RecRole) -> Result<LibScript, &'static str> {
         let mut cx = Cx {
             tree: TaintTree::default(),
-            visited_vals: VisitedVals::new(self.config.cold_path),
-            visited_regions: VisitedRegions::new(self.config.cold_path),
+            visited_vals: HashSet::default(),
+            visited_regions: HashSet::default(),
             call_stack: Vec::new(),
             deps: TraceDeps::default(),
             lib_stats: LibStats::default(),
@@ -2384,6 +2158,275 @@ impl<'p> TaintEngine<'p> {
 mod tests {
     use super::*;
     use firmres_isa::{lift, Assembler};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Region scans checked against the reference on this thread.
+        static SCANS_CHECKED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Called on every region scan in test builds: the production scan
+    /// must return exactly the reference scan's hits, in order.
+    pub(super) fn assert_scan_matches_reference(
+        engine: &TaintEngine<'_>,
+        func: Address,
+        region: &XRegion,
+        before: Option<OpRef>,
+        f: &Function,
+        hits: &[WriteHit],
+    ) {
+        let key = |h: &WriteHit| {
+            (
+                h.at,
+                h.op.clone(),
+                h.values.clone(),
+                h.via.clone(),
+                h.descend,
+            )
+        };
+        let reference = region_write_hits_reference(engine, func, region, before, f);
+        assert_eq!(
+            hits.iter().map(key).collect::<Vec<_>>(),
+            reference.iter().map(key).collect::<Vec<_>>(),
+            "region scan of {region:?} in {func:#x} before {before:?}"
+        );
+        SCANS_CHECKED.with(|n| n.set(n.get() + 1));
+    }
+
+    /// The pre-optimization write scan, verbatim: materializes every op
+    /// of the function (with a linear position search per op), resolves
+    /// and clones the callee name of every call, and rebuilds library
+    /// summaries per callsite. The oracle of
+    /// [`TaintEngine::region_write_hits`].
+    fn region_write_hits_reference(
+        engine: &TaintEngine<'_>,
+        func: Address,
+        region: &XRegion,
+        before: Option<OpRef>,
+        f: &Function,
+    ) -> Vec<WriteHit> {
+        let mut hits: Vec<WriteHit> = Vec::new();
+        let positions: Vec<(OpRef, PcodeOp)> = f
+            .ops_with_blocks()
+            .map(|(b, op)| {
+                let index = f
+                    .block(b)
+                    .ops
+                    .iter()
+                    .position(|o| std::ptr::eq(o, op))
+                    .unwrap_or(0);
+                (OpRef { block: b, index }, op.clone())
+            })
+            .collect();
+        for (at, op) in positions {
+            if let Some(limit) = before {
+                let ok = if at.block == limit.block {
+                    at.index < limit.index
+                } else {
+                    engine.reachable(func, at.block.0, limit.block.0)
+                };
+                if !ok {
+                    continue;
+                }
+            }
+            match op.opcode {
+                Opcode::Copy => {
+                    // Direct store into a stack slot inside the region.
+                    if let (Some(out), XRegion::Plain(Region::Stack(base))) = (&op.output, region) {
+                        if let Some(off) = out.stack_offset() {
+                            if engine.offset_in_local(f, *base, off) {
+                                hits.push(WriteHit {
+                                    at,
+                                    op: op.clone(),
+                                    values: vec![op.inputs[0].clone()],
+                                    via: "store".into(),
+                                    descend: None,
+                                });
+                            }
+                        }
+                    }
+                }
+                Opcode::Store => {
+                    let addr_v = &op.inputs[0];
+                    if engine.xregion_matches(func, at, addr_v, region, f) {
+                        hits.push(WriteHit {
+                            at,
+                            op: op.clone(),
+                            values: vec![op.inputs[1].clone()],
+                            via: "store".into(),
+                            descend: None,
+                        });
+                    }
+                }
+                Opcode::Call => {
+                    let Some(target) = op.call_target() else {
+                        continue;
+                    };
+                    let callee_name = engine
+                        .program
+                        .callee_name(target)
+                        .unwrap_or("<unknown>")
+                        .to_string();
+                    if is_import_address(target) {
+                        if let Some(summary) = summary_for(&callee_name) {
+                            for eff in &summary.effects {
+                                match eff {
+                                    SummaryEffect::ArgFrom { dst, srcs } => {
+                                        let Some(dst_v) = op.call_args().get(*dst) else {
+                                            continue;
+                                        };
+                                        if engine.xregion_matches(func, at, dst_v, region, f) {
+                                            let values: Vec<Varnode> = srcs
+                                                .iter()
+                                                .filter_map(|&s| op.call_args().get(s).cloned())
+                                                // strcat's dst also appears as a src;
+                                                // skip engine-reference to avoid a
+                                                // degenerate cycle (the earlier writes
+                                                // are found by this same scan).
+                                                .filter(|a| {
+                                                    !engine.xregion_matches(func, at, a, region, f)
+                                                })
+                                                .collect();
+                                            hits.push(WriteHit {
+                                                at,
+                                                op: op.clone(),
+                                                values,
+                                                via: callee_name.clone(),
+                                                descend: None,
+                                            });
+                                        }
+                                    }
+                                    SummaryEffect::ArgSource { dst, kind, key } => {
+                                        let Some(dst_v) = op.call_args().get(*dst) else {
+                                            continue;
+                                        };
+                                        if engine.xregion_matches(func, at, dst_v, region, f) {
+                                            hits.push(WriteHit {
+                                                at,
+                                                op: op.clone(),
+                                                values: Vec::new(),
+                                                via: format!(
+                                                    "{callee_name}:{}:{}",
+                                                    kind.label(),
+                                                    key
+                                                ),
+                                                descend: None,
+                                            });
+                                        }
+                                    }
+                                    _ => {}
+                                }
+                            }
+                        }
+                    } else {
+                        // Internal call taking the buffer: writes may occur
+                        // inside the callee through the pointer parameter.
+                        for (j, arg) in op.call_args().iter().enumerate() {
+                            if engine.xregion_matches(func, at, arg, region, f) {
+                                hits.push(WriteHit {
+                                    at,
+                                    op: op.clone(),
+                                    values: Vec::new(),
+                                    via: callee_name.clone(),
+                                    descend: Some((target, j)),
+                                });
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        hits
+    }
+
+    /// The pre-optimization reach closure: one ordered successor set per
+    /// block, filled by a walk from each block. The oracle of the bitset
+    /// rows behind [`TaintEngine::reachable`].
+    fn reach_reference(f: &Function) -> Vec<BTreeSet<u32>> {
+        (0..f.blocks().len())
+            .map(|start| {
+                let mut seen = BTreeSet::new();
+                let mut q = vec![start as u32];
+                while let Some(b) = q.pop() {
+                    for s in &f.blocks()[b as usize].successors {
+                        if seen.insert(s.0) {
+                            q.push(s.0);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stack_slot_and_pointer_stores_into_a_buffer_are_writes() {
+        // Corpus delivery callsites fill buffers through library calls
+        // only; this pins the scan's direct-store branches (and, through
+        // the in-engine check, their agreement with the reference).
+        SCANS_CHECKED.with(|n| n.set(0));
+        let (tree, _) = trace_last_delivery(
+            r#"
+.func main
+.local buf 16
+    li  t1, 7
+    sw  t1, buf(sp)
+    lea t0, buf
+    li  t2, 9
+    sw  t2, 4(t0)
+    lea a1, buf
+    li  a0, 1
+    callx SSL_write
+    ret
+.endfunc
+"#,
+            "SSL_write",
+            1,
+        );
+        let srcs = source_strings(&tree);
+        assert!(srcs.iter().any(|s| s.contains('7')), "{srcs:?}");
+        assert!(srcs.iter().any(|s| s.contains('9')), "{srcs:?}");
+        assert!(SCANS_CHECKED.with(Cell::get) > 0);
+    }
+
+    #[test]
+    fn region_scans_match_reference_at_every_corpus_delivery_callsite() {
+        SCANS_CHECKED.with(|n| n.set(0));
+        for cp in crate::testkit::corpus() {
+            // Every scan the traces run is checked inside the engine.
+            let engine = TaintEngine::new(&cp.program);
+            for &(func, callsite, arg) in &cp.sites {
+                engine.trace(func, callsite, arg);
+            }
+        }
+        let checked = SCANS_CHECKED.with(Cell::get);
+        assert!(checked > 100, "only {checked} region scan(s) checked");
+    }
+
+    #[test]
+    fn reach_closure_matches_reference_on_every_traced_corpus_function() {
+        let mut checked = 0;
+        for cp in crate::testkit::corpus() {
+            let engine = TaintEngine::new(&cp.program);
+            for entry in cp.traced_functions() {
+                let f = cp.program.function(entry).expect("traced function exists");
+                let reference = reach_reference(f);
+                let n = f.blocks().len() as u32;
+                for from in 0..n {
+                    for to in 0..n {
+                        assert_eq!(
+                            engine.reachable(entry, from, to),
+                            from == to || reference[from as usize].contains(&to),
+                            "{entry:#x}: block {from} → {to}"
+                        );
+                    }
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no traced function to compare");
+    }
 
     fn trace_last_delivery(src: &str, delivery: &str, arg: usize) -> (TaintTree, Program) {
         let exe = Assembler::new().assemble(src).unwrap();

@@ -1,4 +1,4 @@
-//! String interning and the cold-path mode switch.
+//! String interning.
 //!
 //! The cold analysis path (first sight of an image, nothing cached)
 //! spends a measurable share of its time hashing, comparing and cloning
@@ -7,34 +7,9 @@
 //! a `u32` — so the hot loops hash and compare 4-byte integers and only
 //! touch the character data when a name is actually materialized into
 //! output.
-//!
-//! [`ColdPath`] selects between the pre-optimization data structures
-//! (kept in-tree as the *reference* implementation) and the optimized
-//! ones; see `DESIGN.md` §10. Both produce byte-identical analysis
-//! output — the benchmark gate in `scripts/check.sh` asserts exactly
-//! that while measuring the speedup.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// Which cold-path data-structure implementation the analysis uses.
-///
-/// Output is byte-identical either way (`coldpath_bench` asserts it on
-/// every run); only speed differs. The knob is therefore deliberately
-/// **excluded** from the cache's `config_fingerprint` — entries computed
-/// under either mode are interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ColdPath {
-    /// The pre-optimization implementations: `BTreeSet` visited sets and
-    /// block-entry states, debug-formatted region keys, full-scan
-    /// reaching-def queries, per-slice dictionary scans. Kept as the
-    /// baseline the optimized path is benchmarked and byte-compared
-    /// against.
-    Reference,
-    /// Interned keys, bitset dataflow states, memoized classification.
-    #[default]
-    Optimized,
-}
 
 /// Interned handle for a string: dense, `Copy`, 4 bytes.
 ///
@@ -174,11 +149,6 @@ mod tests {
         let i = Interner::new();
         assert_eq!(i.get("missing"), None);
         assert!(i.is_empty());
-    }
-
-    #[test]
-    fn cold_path_defaults_to_optimized() {
-        assert_eq!(ColdPath::default(), ColdPath::Optimized);
     }
 
     proptest::proptest! {

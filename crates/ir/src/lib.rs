@@ -56,7 +56,7 @@ pub use function::{Function, FunctionBuilder};
 pub use hash::{
     caller_edges_hash, function_content_hash, program_context_hash, program_function_hashes, Fnv128,
 };
-pub use intern::{ColdPath, FnvBuildHasher, FnvHasher, Interner, Sym};
+pub use intern::{FnvBuildHasher, FnvHasher, Interner, Sym};
 pub use opcode::Opcode;
 pub use program::{import_address, is_import_address, Import, PcodeOp, Program};
 pub use symbol::{DataType, Symbol, SymbolTable};

@@ -11,8 +11,7 @@ use crate::split::split_format;
 use crate::tree::{Mft, MftNodeId, MftNodeKind};
 use firmres_dataflow::{DefUse, FieldSource};
 use firmres_ir::{
-    is_import_address, AddressSpace, ColdPath, DataType, Function, Opcode, PcodeOp, Program,
-    Varnode,
+    is_import_address, AddressSpace, DataType, Function, Opcode, PcodeOp, Program, Varnode,
 };
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -306,24 +305,14 @@ pub fn slices_for_tree(program: &Program, mft: &Mft) -> Vec<CodeSlice> {
 /// racing fill can only insert the value every other worker would have.
 pub struct SliceRenderer<'p> {
     program: &'p Program,
-    mode: ColdPath,
     defuse: RwLock<BTreeMap<u64, Arc<DefUse>>>,
 }
 
 impl<'p> SliceRenderer<'p> {
-    /// Create a renderer over `program` with the default (optimized)
-    /// cold-path data structures.
+    /// Create a renderer over `program`.
     pub fn new(program: &'p Program) -> Self {
-        SliceRenderer::with_mode(program, ColdPath::default())
-    }
-
-    /// Create a renderer whose cached def-use analyses use the given
-    /// [`ColdPath`] implementation. Query results are identical either
-    /// way; only the solver's data layout differs.
-    pub fn with_mode(program: &'p Program, mode: ColdPath) -> Self {
         SliceRenderer {
             program,
-            mode,
             defuse: RwLock::new(BTreeMap::new()),
         }
     }
@@ -332,89 +321,18 @@ impl<'p> SliceRenderer<'p> {
         if let Some(du) = self.defuse.read().get(&func) {
             return Arc::clone(du);
         }
-        let du = Arc::new(DefUse::compute_with(f, self.mode));
+        let du = Arc::new(DefUse::compute(f));
         Arc::clone(self.defuse.write().entry(func).or_insert(du))
     }
 
     /// Produce a [`CodeSlice`] for every field leaf of `mft` (see
     /// [`slices_for_tree`]).
     ///
-    /// Both modes emit identical bytes; the reference mode re-renders
-    /// every operation of every root-to-leaf path from scratch (the
-    /// pre-optimization behaviour, kept as the byte-identity oracle),
-    /// while the optimized mode renders each distinct operation once per
-    /// firmware via the cross-tree line memo and assembles slice text in
-    /// a single buffer.
+    /// Each node's operation is rendered once per tree and slice text is
+    /// assembled in one buffer. The output is byte-identical to the
+    /// original per-leaf rendering, which survives as the `#[cfg(test)]`
+    /// oracle.
     pub fn slices_for_tree(&self, mft: &Mft) -> Vec<CodeSlice> {
-        match self.mode {
-            ColdPath::Reference => self.slices_for_tree_reference(mft),
-            ColdPath::Optimized => self.slices_for_tree_memo(mft),
-        }
-    }
-
-    /// The original per-leaf rendering: every operation on every path is
-    /// enriched fresh and joined through intermediate `String`s.
-    fn slices_for_tree_reference(&self, mft: &Mft) -> Vec<CodeSlice> {
-        let program = self.program;
-        let pieces = piece_map(mft);
-        let mut out = Vec::new();
-        for leaf in mft.leaves() {
-            let source = match &mft.node(leaf).kind {
-                MftNodeKind::Field(s) => s.clone(),
-                _ => continue,
-            };
-            // Collect path root→leaf.
-            let mut path = Vec::new();
-            let mut cur = Some(leaf);
-            while let Some(id) = cur {
-                path.push(id);
-                cur = mft.node(id).parent;
-            }
-            path.reverse();
-            let info = pieces.get(&leaf);
-            let mut rendered: Vec<String> = Vec::new();
-            for id in &path {
-                let n = mft.node(*id);
-                if let Some(op) = &n.op {
-                    if let Some(f) = program.function(n.func) {
-                        let du = self.du(n.func, f);
-                        let mut line = enrich_op_with(program, f, op, Some(&du));
-                        // Partial-message separation: this field's slice shows
-                        // only its own piece of a multi-field template, not the
-                        // whole format string (which would leak sibling keys
-                        // into the classifier's context).
-                        if let Some(PieceInfo {
-                            piece,
-                            full_template: Some(full),
-                        }) = info
-                        {
-                            line = line.replace(full.as_str(), piece.as_str());
-                        }
-                        rendered.push(line);
-                    }
-                }
-            }
-            // The leaf itself (source description) closes the slice.
-            rendered.push(format!("SRC {source}"));
-            if let Some(info) = info {
-                rendered.push(format!("FIELD (Cons, \"{}\")", info.piece));
-            }
-            out.push(CodeSlice {
-                text: rendered.join(" ; "),
-                source,
-                leaf,
-                path_hash: mft.path_hash(leaf),
-                piece: info.map(|i| i.piece.clone()),
-            });
-        }
-        out
-    }
-
-    /// Memoized rendering: byte-identical to
-    /// [`Self::slices_for_tree_reference`] (the cold-path gate's report
-    /// comparison pins this), with each node's operation rendered once
-    /// per tree and slice text assembled in one buffer.
-    fn slices_for_tree_memo(&self, mft: &Mft) -> Vec<CodeSlice> {
         let program = self.program;
         let pieces = piece_map(mft);
         // A node's operation renders identically for every leaf whose
@@ -522,8 +440,101 @@ pub(crate) fn _slice_relevant(op: Opcode) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firmres_dataflow::TaintEngine;
-    use firmres_isa::{lift, Assembler};
+    use firmres_dataflow::{delivery_payload_arg, TaintEngine};
+    use firmres_isa::{lift, Assembler, Executable};
+
+    /// The original per-leaf rendering: every operation on every path is
+    /// enriched fresh and joined through intermediate `String`s. The
+    /// oracle of [`SliceRenderer::slices_for_tree`].
+    fn slices_for_tree_reference(renderer: &SliceRenderer<'_>, mft: &Mft) -> Vec<CodeSlice> {
+        let program = renderer.program;
+        let pieces = piece_map(mft);
+        let mut out = Vec::new();
+        for leaf in mft.leaves() {
+            let source = match &mft.node(leaf).kind {
+                MftNodeKind::Field(s) => s.clone(),
+                _ => continue,
+            };
+            // Collect path root→leaf.
+            let mut path = Vec::new();
+            let mut cur = Some(leaf);
+            while let Some(id) = cur {
+                path.push(id);
+                cur = mft.node(id).parent;
+            }
+            path.reverse();
+            let info = pieces.get(&leaf);
+            let mut rendered: Vec<String> = Vec::new();
+            for id in &path {
+                let n = mft.node(*id);
+                if let Some(op) = &n.op {
+                    if let Some(f) = program.function(n.func) {
+                        let du = renderer.du(n.func, f);
+                        let mut line = enrich_op_with(program, f, op, Some(&du));
+                        // Partial-message separation: this field's slice shows
+                        // only its own piece of a multi-field template, not the
+                        // whole format string (which would leak sibling keys
+                        // into the classifier's context).
+                        if let Some(PieceInfo {
+                            piece,
+                            full_template: Some(full),
+                        }) = info
+                        {
+                            line = line.replace(full.as_str(), piece.as_str());
+                        }
+                        rendered.push(line);
+                    }
+                }
+            }
+            // The leaf itself (source description) closes the slice.
+            rendered.push(format!("SRC {source}"));
+            if let Some(info) = info {
+                rendered.push(format!("FIELD (Cons, \"{}\")", info.piece));
+            }
+            out.push(CodeSlice {
+                text: rendered.join(" ; "),
+                source,
+                leaf,
+                path_hash: mft.path_hash(leaf),
+                piece: info.map(|i| i.piece.clone()),
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn memo_renderer_matches_reference_at_every_corpus_delivery_callsite() {
+        let mut trees = 0;
+        for dev in firmres_corpus::generate_corpus(7) {
+            for (path, bytes) in dev.firmware.executables() {
+                let Ok(exe) = Executable::from_bytes(bytes) else {
+                    continue;
+                };
+                let Ok(p) = lift(&exe, path) else {
+                    continue;
+                };
+                let engine = TaintEngine::new(&p);
+                let renderer = SliceRenderer::new(&p);
+                for f in p.functions() {
+                    for op in f.callsites() {
+                        let name = op.call_target().and_then(|t| p.callee_name(t));
+                        let Some(arg) = name.and_then(delivery_payload_arg) else {
+                            continue;
+                        };
+                        let mft = Mft::from_taint(&engine.trace(f.entry(), op.addr, arg));
+                        assert_eq!(
+                            renderer.slices_for_tree(&mft),
+                            slices_for_tree_reference(&renderer, &mft),
+                            "{path}: delivery at {:#x}",
+                            op.addr
+                        );
+                        trees += 1;
+                    }
+                }
+            }
+        }
+        assert!(trees > 100, "only {trees} delivery callsite(s) rendered");
+    }
 
     fn mft_for(src: &str, delivery: &str, arg: usize) -> (Program, Mft) {
         let exe = Assembler::new().assemble(src).unwrap();

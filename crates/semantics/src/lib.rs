@@ -33,19 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod dataset;
 mod fnv;
 mod label;
-mod memo;
 mod model;
 mod persist;
 mod token;
 
-pub use cache::{ClassCache, ClassCacheStats};
 pub use dataset::{split_dataset, DatasetSplit};
 pub use label::{weak_label, weak_label_streamed, weak_label_with_report, KeywordHit};
-pub use memo::SliceClassifier;
 pub use model::{BatchOutcome, Classifier, TrainConfig, TrainReport};
 pub use persist::ModelError;
 pub use token::{featurize, for_each_token, tokenize, FEATURE_DIM};

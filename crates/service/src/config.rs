@@ -21,8 +21,6 @@
 //! high_watermark = 1.0 # GC trigger, as a fraction of the budget
 //! low_watermark = 0.85 # GC target, as a fraction of the budget
 //! exempt_pinned = true # pinned entries survive collection
-//! class_cache_entries = 1048576 # in-memory slice-classification
-//!                      # cache budget ("none" = unbounded)
 //!
 //! [libid]
 //! index = /etc/firmres/known.flix  # known-library index (.flix)
@@ -217,8 +215,7 @@ mod tests {
             byte_budget = 2M\n\
             high_watermark = 0.95\n\
             low_watermark = 0.8\n\
-            exempt_pinned = false\n\
-            class_cache_entries = 4096\n";
+            exempt_pinned = false\n";
         let cfg = ServiceConfig::parse(text).expect("full config parses");
         assert_eq!(cfg.libid_index, None);
         assert_eq!(cfg.workers, 4);
@@ -230,16 +227,14 @@ mod tests {
         assert_eq!(cfg.store.shards, 8);
         assert_eq!(cfg.store.byte_budget, Some(2 << 20));
         assert!(!cfg.store.exempt_pinned);
-        assert_eq!(cfg.store.class_cache_entries, 4096);
     }
 
     #[test]
-    fn class_cache_entries_accepts_the_unbounded_spellings() {
-        for spelling in ["none", "unlimited", "0"] {
-            let text = format!("[store]\nclass_cache_entries = {spelling}\n");
-            let cfg = ServiceConfig::parse(&text).expect("unbounded spelling parses");
-            assert_eq!(cfg.store.class_cache_entries, 0, "spelling {spelling:?}");
-        }
+    fn removed_class_cache_knob_is_rejected_with_its_line() {
+        let err =
+            ServiceConfig::parse("[store]\nshards = 4\nclass_cache_entries = 4096\n").unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
+        assert!(err.contains("class_cache_entries"), "{err}");
     }
 
     #[test]

@@ -269,9 +269,9 @@ struct Shared {
 
 impl Shared {
     fn status(&self) -> ServiceStatus {
-        // The classification cache keeps its own atomics; snapshot them
-        // here rather than mirroring into ServiceCounters so the numbers
-        // can never drift from what the cache actually holds.
+        // The store keeps the classification tally; snapshot it here
+        // rather than mirroring into ServiceCounters so the numbers can
+        // never drift from what the store counted.
         let class = self
             .cache
             .as_ref()
@@ -292,9 +292,7 @@ impl Shared {
             lib_fns_matched: self.counters.lib_fns_matched.load(Ordering::Relaxed),
             lib_traversals_skipped: self.counters.lib_traversals_skipped.load(Ordering::Relaxed),
             lib_summary_applies: self.counters.lib_summary_applies.load(Ordering::Relaxed),
-            class_cache_hits: class.hits,
             prefilter_skips: class.prefilter_skips,
-            class_cache_entries: class.entries,
             draining: self.draining.load(Ordering::Acquire),
         }
     }

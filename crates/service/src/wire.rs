@@ -43,7 +43,7 @@ use std::time::Duration;
 
 /// Version of this wire protocol. Bump on any frame-layout change; the
 /// handshake refuses mismatched peers instead of misparsing them.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on one frame's body length. Larger length prefixes are
 /// refused before any allocation: a hostile or corrupt 4-byte prefix
@@ -241,14 +241,9 @@ pub struct ServiceStatus {
     pub lib_traversals_skipped: u64,
     /// Taint-tree nodes emitted by summary replay.
     pub lib_summary_applies: u64,
-    /// Slice classifications answered from the server's shared
-    /// classification cache across pipeline runs.
-    pub class_cache_hits: u64,
     /// Slice classifications the certified None pre-filter skipped
     /// scoring for.
     pub prefilter_skips: u64,
-    /// Entries currently held in the classification cache.
-    pub class_cache_entries: u64,
     /// Whether the server is draining.
     pub draining: bool,
 }
@@ -439,7 +434,6 @@ fn put_counter(out: &mut Vec<u8>, c: Counter) {
         Counter::LibSummaryApplies => 13,
         Counter::SlicesBatched => 14,
         Counter::PrefilterSkips => 15,
-        Counter::ClassCacheHits => 16,
     });
 }
 
@@ -461,7 +455,6 @@ fn get_counter(r: &mut Reader) -> Result<Counter, WireError> {
         13 => Counter::LibSummaryApplies,
         14 => Counter::SlicesBatched,
         15 => Counter::PrefilterSkips,
-        16 => Counter::ClassCacheHits,
         t => return Err(WireError::Decode(format!("invalid Counter tag {t}"))),
     })
 }
@@ -608,9 +601,7 @@ fn put_status(out: &mut Vec<u8>, s: &ServiceStatus) {
     out.put_u64_le(s.lib_fns_matched);
     out.put_u64_le(s.lib_traversals_skipped);
     out.put_u64_le(s.lib_summary_applies);
-    out.put_u64_le(s.class_cache_hits);
     out.put_u64_le(s.prefilter_skips);
-    out.put_u64_le(s.class_cache_entries);
     out.put_u8(s.draining as u8);
 }
 
@@ -629,9 +620,7 @@ fn get_status(r: &mut Reader) -> Result<ServiceStatus, WireError> {
         lib_fns_matched: r.u64()?,
         lib_traversals_skipped: r.u64()?,
         lib_summary_applies: r.u64()?,
-        class_cache_hits: r.u64()?,
         prefilter_skips: r.u64()?,
-        class_cache_entries: r.u64()?,
         draining: r.boolean()?,
     })
 }
@@ -946,9 +935,7 @@ mod tests {
                 lib_fns_matched: 12,
                 lib_traversals_skipped: 34,
                 lib_summary_applies: 56,
-                class_cache_hits: 78,
                 prefilter_skips: 90,
-                class_cache_entries: 11,
                 draining: true,
             }),
             Response::DrainOk { jobs_served: 100 },
@@ -966,7 +953,6 @@ mod tests {
             Event::Count(Counter::TaintQueries, 9),
             Event::Count(Counter::SlicesBatched, 4),
             Event::Count(Counter::PrefilterSkips, 2),
-            Event::Count(Counter::ClassCacheHits, 8),
             Event::Diagnostic(Diagnostic::bare(StageKind::Cache, Severity::Warning, "w")),
         ] {
             let resp = Response::Event {

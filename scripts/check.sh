@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (root package and every crate)"
 cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -19,39 +19,39 @@ cargo fmt --check
 echo "==> cargo doc --no-deps --workspace (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> analysis-cache cold/warm smoke (writes BENCH_cache.json)"
-cargo run --release -q -p firmres-bench --bin cache_bench
+# Every bench gate below writes its JSON into the smoke temp dir, so a
+# run leaves the tree clean: a committed BENCH_*.json changes only
+# through a deliberate re-measure (run the bench binary from the root).
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
+
+echo "==> analysis-cache cold/warm smoke"
+cargo run --release -q -p firmres-bench --bin cache_bench "$smoke_dir/BENCH_cache.json"
 
 echo "==> unit-parallel determinism suite (release, 1 and N threads)"
 cargo test --release -q --test pipeline_units
 
-echo "==> pipeline scaling bench (writes BENCH_pipeline.json)"
-cargo run --release -q -p firmres-bench --bin pipeline_scaling
+echo "==> pipeline scaling bench"
+cargo run --release -q -p firmres-bench --bin pipeline_scaling "$smoke_dir/BENCH_pipeline.json"
 
-echo "==> cold-path optimization gate (writes BENCH_coldpath.json)"
-# Reference vs optimized cold sweep: asserts every report is
-# byte-identical under the cache codec and enforces the 1.5x
-# single-thread speedup floor.
-cargo run --release -q -p firmres-bench --bin coldpath_bench BENCH_coldpath.json 1.5
-
-echo "==> semantics batching gate (writes BENCH_semantics.json)"
+echo "==> semantics batching gate"
 # PR-5 per-slice classification (nested weights, full softmax, per-image
 # memo) vs the batched stack over a trained model and a 222-device
 # corpus: asserts label identity across all configurations and enforces
-# the 1.5x full-stack speedup floor.
-cargo run --release -q -p firmres-bench --bin semantics_bench BENCH_semantics.json 1.5
+# the 1.5x floor on the production stack (batch + pre-filter).
+cargo run --release -q -p firmres-bench --bin semantics_bench \
+    "$smoke_dir/BENCH_semantics.json" 1.5
 
-echo "==> incremental re-analysis gate (writes BENCH_incremental.json)"
+echo "==> incremental re-analysis gate"
 # Cold vs 1%-mutated re-analysis through the unit-granular store:
 # asserts every result is byte-identical to the plain pipeline and
 # enforces a 2x speedup floor (the corpus measures ~3.5-4x; a broken
 # splice path measures ~1x — see the bench's module docs for what
 # bounds the ratio on synthetic images).
-cargo run --release -q -p firmres-bench --bin incremental_bench BENCH_incremental.json 2
+cargo run --release -q -p firmres-bench --bin incremental_bench \
+    "$smoke_dir/BENCH_incremental.json" 2
 
 echo "==> cache smoke against a parallel-produced entry"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 cli() { cargo run --release -q -p firmres-suite --bin firmres-cli -- "$@"; }
 cli gen 14 "$smoke_dir/dev14.fwi" > /dev/null
 # Cold pass populates the store from a unit-parallel run; the warm pass
@@ -210,18 +210,18 @@ cli cache-stats "$smoke_dir/lib-cache" > "$smoke_dir/lib-stats.txt"
 grep -E 'library summaries: [1-9][0-9]* function\(s\) matched, [1-9][0-9]* traversal\(s\) skipped' \
     "$smoke_dir/lib-stats.txt"
 
-echo "==> library summary-replay gate (writes BENCH_libid.json)"
+echo "==> library summary-replay gate"
 # Off vs On cold sweep over the library-heavy 200-device fleet: asserts
 # byte-identical reports under the cache codec and enforces the 1.3x
 # taint-stage speedup floor.
-cargo run --release -q -p firmres-bench --bin libid_bench BENCH_libid.json 1.3
+cargo run --release -q -p firmres-bench --bin libid_bench "$smoke_dir/BENCH_libid.json" 1.3
 
 echo "==> service wire + end-to-end suites (release)"
 cargo test --release -q -p firmres-service
 cargo test --release -q --test service_end_to_end
 
-echo "==> service cold/warm bench (writes BENCH_service.json)"
-cargo run --release -q -p firmres-bench --bin service_bench
+echo "==> service cold/warm bench"
+cargo run --release -q -p firmres-bench --bin service_bench "$smoke_dir/BENCH_service.json"
 
 echo "==> outside-in benchmark smoke (firmres-benchmark/smoke.sh)"
 # Builds the benchmark package against this workspace, runs its unit

@@ -574,8 +574,8 @@ fn cmd_analyze(
             // and the smoke tests strip exactly one leading line.
             let class_part = if s.slices_batched > 0 {
                 format!(
-                    "; {} slice(s) batch-classified, {} prefilter-skipped, {} class-cache hit(s)",
-                    s.slices_batched, s.prefilter_skips, s.class_cache_hits
+                    "; {} slice(s) batch-classified, {} prefilter-skipped",
+                    s.slices_batched, s.prefilter_skips
                 )
             } else {
                 String::new()
@@ -910,14 +910,10 @@ fn cmd_status(addr: Option<&String>) -> Result<String, String> {
         } else {
             String::new()
         };
-    // Same pattern for the semantics classification cache: silent until
-    // the daemon has actually batched a slice, so cold or model-less
-    // deployments keep the historical line.
-    let class = if s.class_cache_hits > 0 || s.prefilter_skips > 0 || s.class_cache_entries > 0 {
-        format!(
-            " | class cache {} hit(s) / {} prefilter-skipped / {} cached",
-            s.class_cache_hits, s.prefilter_skips, s.class_cache_entries
-        )
+    // Same pattern for the semantics pre-filter: silent until it has
+    // skipped a slice, so model-less deployments keep the historical line.
+    let class = if s.prefilter_skips > 0 {
+        format!(" | {} slice(s) prefilter-skipped", s.prefilter_skips)
     } else {
         String::new()
     };
@@ -999,20 +995,16 @@ fn cmd_cache_stats(dir: Option<&String>) -> Result<String, String> {
             usage.fns_matched, usage.traversals_skipped, usage.summary_applies
         );
     }
-    // The slice-classification cache is in-memory and scoped to this
-    // handle's lifetime, so a fresh survey shows it only once something
-    // has actually been classified through it (e.g. under `serve`,
-    // which prints through the same path on drain).
+    // The classification tally is in-memory and scoped to this handle's
+    // lifetime, so a fresh survey shows it only once something has
+    // actually been classified through it (e.g. under `serve`, which
+    // prints through the same path on drain).
     let class = cache.class_cache_stats();
-    if class.batched > 0 || class.hits > 0 {
+    if class.batched > 0 {
         let _ = writeln!(
             out,
-            "  class cache: {} hit(s), {} miss(es), {} prefilter-skipped, {} entr{} held",
-            class.hits,
-            class.misses,
-            class.prefilter_skips,
-            class.entries,
-            if class.entries == 1 { "y" } else { "ies" }
+            "  classification: {} slice(s) batch-classified, {} prefilter-skipped",
+            class.batched, class.prefilter_skips
         );
     }
     // Eviction telemetry and the per-shard table appear only for stores
@@ -1098,11 +1090,11 @@ fn append_stats(out: &mut String, analysis: &firmres::FirmwareAnalysis) {
     // corpus driver owns them — they depend on cache warmth, which must
     // not leak into persisted per-analysis reports), but a replayed
     // record from a future producer that does fill them renders here.
-    if c.slices_batched > 0 || c.prefilter_skips > 0 || c.class_cache_hits > 0 {
+    if c.slices_batched > 0 || c.prefilter_skips > 0 {
         let _ = writeln!(
             out,
-            "  slices batch-classified: {} | prefilter skips: {} | class cache hits: {}",
-            c.slices_batched, c.prefilter_skips, c.class_cache_hits
+            "  slices batch-classified: {} | prefilter skips: {}",
+            c.slices_batched, c.prefilter_skips
         );
     }
 }
