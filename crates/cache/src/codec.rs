@@ -6,7 +6,11 @@
 //! strings and vectors, and explicit per-enum tags. Enum tags are
 //! assigned by *local exhaustive matches* in this module — when an
 //! upstream enum gains a variant, the match here stops compiling, which
-//! is exactly the signal that [`PIPELINE_VERSION`] must be bumped.
+//! is exactly the signal that [`PIPELINE_VERSION`] must be bumped. The
+//! exception is [`Counter`]: its tags and the counter block's order are
+//! the rows of the counter table in `firmres`'s `observe` module, so a
+//! new row compiles here, and the counter block's golden-bytes test
+//! fails instead.
 //!
 //! Decoding is panic-free: every read is bounds-checked through
 //! [`Reader`] and malformed input surfaces as a [`DecodeError`], which
@@ -18,8 +22,8 @@
 use bytes::BufMut;
 use firmres::stages::UnitEvents;
 use firmres::{
-    Counter, Diagnostic, Event, FirmwareAnalysis, FormFlaw, HandlerInfo, MessagePhase,
-    MessageRecord, Severity, StageCounters, StageEvents, StageKind, StageTimings,
+    AnalysisConfig, Counter, Diagnostic, Event, FirmwareAnalysis, FormFlaw, HandlerInfo,
+    MessagePhase, MessageRecord, Severity, StageCounters, StageEvents, StageKind, StageTimings,
 };
 use firmres_dataflow::{intern_unresolved_reason, FieldSource, SourceKind, TaintSummary};
 use firmres_ir::{AddressSpace, Opcode, PcodeOp, Varnode};
@@ -144,7 +148,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
+/// Encode a `u32`-length-prefixed UTF-8 string (read back by
+/// [`Reader::string`]).
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
     out.put_u32_le(s.len() as u32);
     out.put_slice(s.as_bytes());
 }
@@ -837,50 +843,22 @@ fn get_timings(r: &mut Reader) -> Result<StageTimings, DecodeError> {
     })
 }
 
+/// The counter block: every [`Counter`] in tag order, then the legacy
+/// always-zero `class_cache_hits` slot.
 fn put_counters(out: &mut Vec<u8>, c: &StageCounters) {
-    for v in [
-        c.executables_tried,
-        c.parse_failures,
-        c.lift_failures,
-        c.taint_queries,
-        c.taint_cache_hits,
-        c.slices_rendered,
-        c.fields_matched,
-        c.cache_hits,
-        c.cache_misses,
-        c.cache_bytes_read,
-        c.cache_bytes_written,
-        c.lib_fns_matched,
-        c.lib_traversals_skipped,
-        c.lib_summary_applies,
-        c.slices_batched,
-        c.prefilter_skips,
-        c.class_cache_hits,
-    ] {
-        out.put_u64_le(v);
+    for &counter in Counter::ALL {
+        out.put_u64_le(c.get(counter));
     }
+    out.put_u64_le(c.class_cache_hits);
 }
 
 fn get_counters(r: &mut Reader) -> Result<StageCounters, DecodeError> {
-    Ok(StageCounters {
-        executables_tried: r.u64()?,
-        parse_failures: r.u64()?,
-        lift_failures: r.u64()?,
-        taint_queries: r.u64()?,
-        taint_cache_hits: r.u64()?,
-        slices_rendered: r.u64()?,
-        fields_matched: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_misses: r.u64()?,
-        cache_bytes_read: r.u64()?,
-        cache_bytes_written: r.u64()?,
-        lib_fns_matched: r.u64()?,
-        lib_traversals_skipped: r.u64()?,
-        lib_summary_applies: r.u64()?,
-        slices_batched: r.u64()?,
-        prefilter_skips: r.u64()?,
-        class_cache_hits: r.u64()?,
-    })
+    let mut c = StageCounters::default();
+    for &counter in Counter::ALL {
+        c.record(counter, r.u64()?);
+    }
+    c.class_cache_hits = r.u64()?;
+    Ok(c)
 }
 
 /// Encode one [`Diagnostic`].
@@ -938,50 +916,6 @@ pub fn put_analysis_spliced(
 
 // ---- buffered events ----------------------------------------------------
 
-fn put_counter_tag(out: &mut Vec<u8>, c: Counter) {
-    // Local exhaustive tags: a new Counter variant fails this match.
-    out.put_u8(match c {
-        Counter::ExecutablesTried => 0,
-        Counter::ParseFailures => 1,
-        Counter::LiftFailures => 2,
-        Counter::TaintQueries => 3,
-        Counter::TaintCacheHits => 4,
-        Counter::SlicesRendered => 5,
-        Counter::FieldsMatched => 6,
-        Counter::CacheHits => 7,
-        Counter::CacheMisses => 8,
-        Counter::CacheBytesRead => 9,
-        Counter::CacheBytesWritten => 10,
-        Counter::LibFnsMatched => 11,
-        Counter::LibTraversalsSkipped => 12,
-        Counter::LibSummaryApplies => 13,
-        Counter::SlicesBatched => 14,
-        Counter::PrefilterSkips => 15,
-    });
-}
-
-fn get_counter_tag(r: &mut Reader) -> Result<Counter, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Counter::ExecutablesTried,
-        1 => Counter::ParseFailures,
-        2 => Counter::LiftFailures,
-        3 => Counter::TaintQueries,
-        4 => Counter::TaintCacheHits,
-        5 => Counter::SlicesRendered,
-        6 => Counter::FieldsMatched,
-        7 => Counter::CacheHits,
-        8 => Counter::CacheMisses,
-        9 => Counter::CacheBytesRead,
-        10 => Counter::CacheBytesWritten,
-        11 => Counter::LibFnsMatched,
-        12 => Counter::LibTraversalsSkipped,
-        13 => Counter::LibSummaryApplies,
-        14 => Counter::SlicesBatched,
-        15 => Counter::PrefilterSkips,
-        _ => return err("invalid Counter tag"),
-    })
-}
-
 /// Encode one buffered pipeline [`Event`].
 pub fn put_event(out: &mut Vec<u8>, e: &Event) {
     match e {
@@ -996,7 +930,7 @@ pub fn put_event(out: &mut Vec<u8>, e: &Event) {
         }
         Event::Count(counter, n) => {
             out.put_u8(2);
-            put_counter_tag(out, *counter);
+            out.put_u8(counter.tag());
             out.put_u64_le(*n);
         }
         Event::Diagnostic(d) => {
@@ -1011,7 +945,10 @@ pub fn get_event(r: &mut Reader) -> Result<Event, DecodeError> {
     Ok(match r.u8()? {
         0 => Event::StageStarted(get_stage_kind(r)?),
         1 => Event::StageFinished(get_stage_kind(r)?, Duration::from_nanos(r.u64()?)),
-        2 => Event::Count(get_counter_tag(r)?, r.u64()?),
+        2 => match Counter::from_tag(r.u8()?) {
+            Some(counter) => Event::Count(counter, r.u64()?),
+            None => return err("invalid Counter tag"),
+        },
         3 => Event::Diagnostic(get_diagnostic(r)?),
         _ => return err("invalid Event tag"),
     })
@@ -1053,6 +990,36 @@ pub fn get_unit_events(r: &mut Reader) -> Result<UnitEvents, DecodeError> {
         concat: get_stage_events(r)?,
         form_check: get_stage_events(r)?,
     })
+}
+
+// ---- analysis configuration ---------------------------------------------
+
+/// Encode every [`AnalysisConfig`] knob that changes analysis output:
+/// the exeid score threshold by its bit pattern (so `0.3` and
+/// `0.30000001` differ) and the four output-bearing taint fields. A
+/// submit carries these bytes over the wire, and [`config_fingerprint`]
+/// hashes them, so a config that crosses the wire keys identically on
+/// both ends. A new output-bearing knob is added here and nowhere else.
+///
+/// [`config_fingerprint`]: crate::config_fingerprint
+pub fn put_config(out: &mut Vec<u8>, config: &AnalysisConfig) {
+    out.put_u64_le(config.exeid.score_threshold.to_bits());
+    out.put_u64_le(config.taint.max_depth as u64);
+    out.put_u64_le(config.taint.max_nodes as u64);
+    out.put_u8(config.taint.overtaint as u8);
+    out.put_u8(config.taint.decompose_buffers as u8);
+}
+
+/// Decode the knobs [`put_config`] writes, over
+/// [`AnalysisConfig::default`] for everything else.
+pub fn get_config(r: &mut Reader) -> Result<AnalysisConfig, DecodeError> {
+    let mut config = AnalysisConfig::default();
+    config.exeid.score_threshold = f64::from_bits(r.u64()?);
+    config.taint.max_depth = r.u64()? as usize;
+    config.taint.max_nodes = r.u64()? as usize;
+    config.taint.overtaint = r.boolean()?;
+    config.taint.decompose_buffers = r.boolean()?;
+    Ok(config)
 }
 
 // ---- full analysis ------------------------------------------------------
@@ -1227,33 +1194,72 @@ mod tests {
         assert_eq!(got.form_check.events, ev.form_check.events);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn every_counter_tag_round_trips() {
-        for c in [
-            Counter::ExecutablesTried,
-            Counter::ParseFailures,
-            Counter::LiftFailures,
-            Counter::TaintQueries,
-            Counter::TaintCacheHits,
-            Counter::SlicesRendered,
-            Counter::FieldsMatched,
-            Counter::CacheHits,
-            Counter::CacheMisses,
-            Counter::CacheBytesRead,
-            Counter::CacheBytesWritten,
-            Counter::LibFnsMatched,
-            Counter::LibTraversalsSkipped,
-            Counter::LibSummaryApplies,
-            Counter::SlicesBatched,
-            Counter::PrefilterSkips,
-        ] {
+        for (k, &c) in Counter::ALL.iter().enumerate() {
             let mut out = Vec::new();
             put_event(&mut out, &Event::Count(c, 42));
+            assert_eq!(usize::from(out[1]), k, "{c:?} is tagged by its row");
             assert_eq!(
                 get_event(&mut Reader::new(&out)).unwrap(),
                 Event::Count(c, 42)
             );
         }
+    }
+
+    /// The counter block of a stored analysis, byte for byte: counter
+    /// `k` holds `k + 1` and the legacy 17th slot holds 17. A new row in
+    /// the counter table changes these bytes, which is the signal to
+    /// bump `PIPELINE_VERSION` and the service's `PROTOCOL_VERSION`.
+    #[test]
+    fn counter_block_bytes_are_pinned() {
+        let mut a = FirmwareAnalysis {
+            executable: None,
+            handlers: Vec::new(),
+            messages: Vec::new(),
+            timings: StageTimings::default(),
+            counters: StageCounters::default(),
+            diagnostics: Vec::new(),
+        };
+        for (k, &c) in Counter::ALL.iter().enumerate() {
+            a.counters.record(c, k as u64 + 1);
+        }
+        a.counters.class_cache_hits = 17;
+        let mut out = Vec::new();
+        put_analysis(&mut out, &a);
+        // Captured from the encoder before the counter table existed.
+        let golden = [
+            "00",             // no executable
+            "00000000",       // no handlers
+            "00000000",       // no records
+            &"00".repeat(40), // five zero timings
+            "0100000000000000",
+            "0200000000000000",
+            "0300000000000000",
+            "0400000000000000",
+            "0500000000000000",
+            "0600000000000000",
+            "0700000000000000",
+            "0800000000000000",
+            "0900000000000000",
+            "0a00000000000000",
+            "0b00000000000000",
+            "0c00000000000000",
+            "0d00000000000000",
+            "0e00000000000000",
+            "0f00000000000000",
+            "1000000000000000",
+            "1100000000000000",
+            "00000000", // no diagnostics
+        ]
+        .concat();
+        assert_eq!(hex(&out), golden);
+        let back = get_analysis(&mut Reader::new(&out)).unwrap();
+        assert_eq!(back.counters, a.counters);
     }
 
     #[test]

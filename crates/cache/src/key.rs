@@ -9,6 +9,7 @@
 //! classifier simply makes the store look for a file that is not there
 //! (a miss), never for a file holding stale results.
 
+use crate::codec::put_config;
 use firmres::AnalysisConfig;
 use firmres_firmware::{content_hash_packed, content_hash_packed_wide, FirmwareImage};
 use firmres_semantics::Classifier;
@@ -116,11 +117,11 @@ impl CacheKey {
 /// FNV-64 fingerprint of every configuration knob that can change
 /// analysis output.
 ///
-/// Covers [`ExeIdConfig::score_threshold`] (via its bit pattern, so
-/// `0.3` and `0.30000001` fingerprint differently) and the four
-/// output-bearing [`TaintConfig`] fields. A new knob must be folded in
-/// here — missing one would let two differently-configured runs share
-/// entries.
+/// Hashes the [`put_config`] bytes (the exeid score threshold's bit
+/// pattern and the four output-bearing [`TaintConfig`] fields, the same
+/// bytes a submit carries over the wire) followed by the effective
+/// index fingerprint below. A new knob goes into [`put_config`] —
+/// missing one would let two differently-configured runs share entries.
 ///
 /// The [`TaintConfig::libid`] toggle is excluded — summary replay is
 /// report-byte-identical to full traversal — but the *effective index*
@@ -130,17 +131,12 @@ impl CacheKey {
 /// without an index, consults no index at all; both fold
 /// [`LibIndex::EMPTY_FINGERPRINT`] and therefore share entries.
 ///
-/// [`ExeIdConfig::score_threshold`]: firmres::ExeIdConfig
 /// [`TaintConfig`]: firmres_dataflow::TaintConfig
 /// [`TaintConfig::libid`]: firmres_dataflow::TaintConfig
 /// [`LibIndex::EMPTY_FINGERPRINT`]: firmres_dataflow::LibIndex::EMPTY_FINGERPRINT
 pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
     let mut bytes = Vec::with_capacity(42);
-    bytes.extend_from_slice(&config.exeid.score_threshold.to_bits().to_le_bytes());
-    bytes.extend_from_slice(&(config.taint.max_depth as u64).to_le_bytes());
-    bytes.extend_from_slice(&(config.taint.max_nodes as u64).to_le_bytes());
-    bytes.push(config.taint.overtaint as u8);
-    bytes.push(config.taint.decompose_buffers as u8);
+    put_config(&mut bytes, config);
     let lib_fp = match (config.taint.libid, config.taint.lib_index.as_ref()) {
         (firmres_dataflow::LibId::On, Some(index)) => index.fingerprint(),
         _ => firmres_dataflow::LibIndex::EMPTY_FINGERPRINT,
@@ -200,6 +196,23 @@ mod tests {
         let mut c = AnalysisConfig::default();
         c.taint.decompose_buffers = !c.taint.decompose_buffers;
         assert_ne!(f0, config_fingerprint(&c));
+    }
+
+    /// Fingerprints captured from the hand-listed field encoding that
+    /// preceded `put_config`: existing stores keep their keys.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        assert_eq!(
+            config_fingerprint(&AnalysisConfig::default()),
+            0xa506_bed9_341a_bf5b
+        );
+        let mut c = AnalysisConfig::default();
+        c.exeid.score_threshold = 0.625;
+        c.taint.max_depth = 7;
+        c.taint.max_nodes = 1234;
+        c.taint.overtaint = !c.taint.overtaint;
+        c.taint.decompose_buffers = !c.taint.decompose_buffers;
+        assert_eq!(config_fingerprint(&c), 0x9811_e24e_9d94_2674);
     }
 
     #[test]

@@ -66,9 +66,6 @@ pub struct StorePolicy {
     /// GC target point: a pass evicts least-recently-used artifacts
     /// until the total is at or below `low_watermark × budget`.
     pub low_watermark: f64,
-    /// Whether pinned artifacts are exempt from eviction. With `false`
-    /// pins are advisory only and LRU order alone decides.
-    pub exempt_pinned: bool,
 }
 
 impl Default for StorePolicy {
@@ -78,7 +75,6 @@ impl Default for StorePolicy {
             byte_budget: None,
             high_watermark: 1.0,
             low_watermark: 0.85,
-            exempt_pinned: true,
         }
     }
 }
@@ -116,20 +112,13 @@ impl StorePolicy {
                     .map_err(|_| format!("shards: not a count: {value:?}"))?;
             }
             "byte_budget" => {
-                self.byte_budget = parse_byte_size(value)?;
+                self.byte_budget = parse_byte_size(value).map_err(|e| format!("{key}: {e}"))?;
             }
             "high_watermark" => {
                 self.high_watermark = parse_fraction(key, value)?;
             }
             "low_watermark" => {
                 self.low_watermark = parse_fraction(key, value)?;
-            }
-            "exempt_pinned" => {
-                self.exempt_pinned = match value {
-                    "true" => true,
-                    "false" => false,
-                    _ => return Err(format!("exempt_pinned: expected true/false, got {value:?}")),
-                };
             }
             _ => return Err(format!("unknown [store] key: {key}")),
         }
@@ -240,7 +229,6 @@ pub(crate) struct GcState {
     clock: u64,
     entries: HashMap<String, FileMeta>,
     total_bytes: u64,
-    pinned: std::collections::HashSet<String>,
     /// Lifetime counters, per shard index.
     evicted: Vec<u64>,
     reclaimed: Vec<u64>,
@@ -357,16 +345,6 @@ impl Evictor {
         }
     }
 
-    /// Pin or unpin an artifact by file name.
-    pub(crate) fn set_pinned(&self, name: &str, pinned: bool) {
-        let mut st = lock_state(&self.state);
-        if pinned {
-            st.pinned.insert(name.to_string());
-        } else {
-            st.pinned.remove(name);
-        }
-    }
-
     /// Run one eviction pass: delete least-recently-used artifacts until
     /// the total is at or below `low_watermark × budget`, then persist
     /// the updated per-shard indexes. The most recently touched artifact
@@ -385,7 +363,6 @@ impl Evictor {
         let mut victims: Vec<(u64, String, u64)> = st
             .entries
             .iter()
-            .filter(|(name, _)| !(self.policy.exempt_pinned && st.pinned.contains(*name)))
             .map(|(name, meta)| (meta.tick, name.clone(), meta.bytes))
             .collect();
         victims.sort_unstable();
@@ -579,7 +556,6 @@ mod tests {
         let p = StorePolicy::default();
         assert_eq!(p.shards, 1);
         assert_eq!(p.byte_budget, None);
-        assert!(p.exempt_pinned);
         assert!(p.validate().is_ok());
     }
 
@@ -601,12 +577,12 @@ mod tests {
         p.apply("shards", "8").unwrap();
         p.apply("byte_budget", "128K").unwrap();
         p.apply("low_watermark", "0.5").unwrap();
-        p.apply("exempt_pinned", "false").unwrap();
         assert_eq!(p.shards, 8);
         assert_eq!(p.byte_budget, Some(128 << 10));
         assert_eq!(p.low_watermark, 0.5);
-        assert!(!p.exempt_pinned);
         assert!(p.apply("bite_budget", "1M").is_err());
+        let err = p.apply("byte_budget", "lots").unwrap_err();
+        assert!(err.starts_with("byte_budget: byte size"), "{err}");
         assert!(p.apply("low_watermark", "1.5").is_err());
     }
 

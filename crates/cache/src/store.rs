@@ -313,15 +313,6 @@ impl AnalysisCache {
         self.evictor.as_ref().map(|e| e.total_bytes())
     }
 
-    /// Pin (or unpin) the image entry for `key`: with
-    /// [`StorePolicy::exempt_pinned`] set, pinned entries are never
-    /// evicted. A no-op without a byte budget.
-    pub fn pin_entry(&self, key: &CacheKey, pinned: bool) {
-        if let Some(e) = &self.evictor {
-            e.set_pinned(&key.file_name(), pinned);
-        }
-    }
-
     /// The file path an entry for `key` lives at.
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.artifact_path(&key.file_name())
@@ -1205,7 +1196,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_lru_and_respects_pins() {
+    fn eviction_is_lru() {
         let dir = temp_dir("evict-lru");
         let config = AnalysisConfig::default();
         // Probe the actual size of each entry so the budget is exactly
@@ -1244,16 +1235,6 @@ mod tests {
         assert!(cache.contains(&keys[0]), "recently read entry survives");
         assert!(!cache.contains(&keys[1]), "least-recently-used is evicted");
         assert!(cache.contains(&keys[2]), "freshest write survives");
-
-        // Pin the survivor and overflow again: the pin holds.
-        cache.pin_entry(&keys[0], true);
-        for id in [14u8, 21] {
-            let dev = generate_device(id, 7);
-            let analysis = analyze_firmware(&dev.firmware, None, &config);
-            let key = CacheKey::compute(&dev.firmware, None, &config);
-            cache.store(&key, &analysis).unwrap();
-        }
-        assert!(cache.contains(&keys[0]), "pinned entry is exempt");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,134 +25,115 @@
 use crate::error::{Diagnostic, StageKind};
 use std::time::Duration;
 
-/// Which [`StageCounters`] field an event increments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Executable entries attempted during pinpointing.
-    ExecutablesTried,
-    /// Executables that failed MRE parsing.
-    ParseFailures,
-    /// Executables that parsed but failed to lift to IR.
-    LiftFailures,
-    /// Backward-taint queries issued (payload, endpoint and host traces).
-    TaintQueries,
-    /// Taint queries answered from the engine's memo cache.
-    TaintCacheHits,
-    /// Enriched code slices rendered for classification.
-    SlicesRendered,
-    /// Message fields matched to a recovered semantic primitive.
-    FieldsMatched,
-    /// Analysis-cache lookups answered from the store (the whole
-    /// pipeline was skipped).
-    CacheHits,
-    /// Analysis-cache lookups that missed (including corrupted entries
-    /// that fell back to re-analysis).
-    CacheMisses,
-    /// Bytes read from the analysis cache store.
-    CacheBytesRead,
-    /// Bytes written to the analysis cache store.
-    CacheBytesWritten,
-    /// Functions hash-matched against the known-library index.
-    LibFnsMatched,
-    /// Library-body traversals replaced by taint-script replay.
-    LibTraversalsSkipped,
-    /// Taint-tree nodes emitted by script replay.
-    LibSummaryApplies,
-    /// Slice texts classified through the batched semantics path.
-    SlicesBatched,
-    /// Slices the certified None pre-filter resolved without scoring.
-    PrefilterSkips,
+/// Declares the pipeline counters once. Each row is `doc, Variant =>
+/// field`; the macro generates the [`Counter`] variant (whose tag is the
+/// row index), [`Counter::ALL`], [`Counter::from_tag`], the
+/// [`StageCounters`] field and its arm of the one accessor behind
+/// [`StageCounters::record`] and [`StageCounters::get`].
+macro_rules! counter_table {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $field:ident,)+) => {
+        /// Which [`StageCounters`] field an event increments. The
+        /// discriminant is the counter's tag in the cache codec and on
+        /// the wire.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in tag order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+        }
+
+        /// Per-stage work counters accumulated over one analysis.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StageCounters {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+            /// Always 0: no [`Counter`] feeds it since the corpus-wide
+            /// class cache was removed. Kept, with its slot after the
+            /// table's in the cache codec's counter block, so stored
+            /// entries and the outside-in benchmark
+            /// (`firmres-benchmark/`) keep their layout and build.
+            pub class_cache_hits: u64,
+        }
+
+        impl StageCounters {
+            fn slot(&mut self, counter: Counter) -> &mut u64 {
+                match counter {
+                    $(Counter::$variant => &mut self.$field,)+
+                }
+            }
+        }
+    };
 }
 
-/// Per-stage work counters accumulated over one analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCounters {
+counter_table! {
     /// Executable entries attempted during pinpointing (stage 1).
-    pub executables_tried: u64,
+    ExecutablesTried => executables_tried,
     /// Executables that failed MRE parsing (stage 1).
-    pub parse_failures: u64,
-    /// Executables that parsed but failed to lift (stage 1).
-    pub lift_failures: u64,
-    /// Backward-taint queries issued (stage 2).
-    pub taint_queries: u64,
-    /// Taint queries answered from the memo cache (stage 2).
-    pub taint_cache_hits: u64,
-    /// Enriched code slices rendered (stage 3).
-    pub slices_rendered: u64,
-    /// Fields matched to a semantic primitive (stage 4).
-    pub fields_matched: u64,
-    /// Analysis-cache hits (corpus drivers; always 0 inside one
-    /// pipeline run — cached results skip the pipeline entirely).
-    pub cache_hits: u64,
-    /// Analysis-cache misses (corpus drivers).
-    pub cache_misses: u64,
+    ParseFailures => parse_failures,
+    /// Executables that parsed but failed to lift to IR (stage 1).
+    LiftFailures => lift_failures,
+    /// Backward-taint queries issued: payload, endpoint and host traces
+    /// (stage 2).
+    TaintQueries => taint_queries,
+    /// Taint queries answered from the engine's memo cache (stage 2).
+    TaintCacheHits => taint_cache_hits,
+    /// Enriched code slices rendered for classification (stage 3).
+    SlicesRendered => slices_rendered,
+    /// Message fields matched to a recovered semantic primitive
+    /// (stage 4).
+    FieldsMatched => fields_matched,
+    /// Analysis-cache lookups answered from the store (corpus drivers;
+    /// always 0 inside one pipeline run, since cached results skip the
+    /// pipeline entirely).
+    CacheHits => cache_hits,
+    /// Analysis-cache lookups that missed, including corrupted entries
+    /// that fell back to re-analysis (corpus drivers).
+    CacheMisses => cache_misses,
     /// Bytes read from the analysis cache store.
-    pub cache_bytes_read: u64,
+    CacheBytesRead => cache_bytes_read,
     /// Bytes written to the analysis cache store.
-    pub cache_bytes_written: u64,
+    CacheBytesWritten => cache_bytes_written,
     /// Functions hash-matched against the known-library index (stage 2).
-    pub lib_fns_matched: u64,
-    /// Library-body traversals replaced by script replay (stage 2).
-    pub lib_traversals_skipped: u64,
+    LibFnsMatched => lib_fns_matched,
+    /// Library-body traversals replaced by taint-script replay (stage 2).
+    LibTraversalsSkipped => lib_traversals_skipped,
     /// Taint-tree nodes emitted by script replay (stage 2).
-    pub lib_summary_applies: u64,
+    LibSummaryApplies => lib_summary_applies,
     /// Slice texts classified through the batched semantics path
     /// (stage 3; corpus drivers — warmth-dependent, so never emitted
     /// per unit).
-    pub slices_batched: u64,
-    /// Slices the certified None pre-filter skipped scoring for
+    SlicesBatched => slices_batched,
+    /// Slices the certified None pre-filter resolved without scoring
     /// (corpus drivers; see `slices_batched` on why).
-    pub prefilter_skips: u64,
-    /// Always 0: no [`Counter`] feeds it since the corpus-wide class
-    /// cache was removed. Kept, with its slot in the cache codec's
-    /// counter block, so stored entries and the outside-in benchmark
-    /// (`firmres-benchmark/`) keep their layout and build.
-    pub class_cache_hits: u64,
+    PrefilterSkips => prefilter_skips,
+}
+
+impl Counter {
+    /// This counter's tag: its row in the counter table.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The counter with tag `tag`, or `None` past the table's end.
+    pub fn from_tag(tag: u8) -> Option<Counter> {
+        Counter::ALL.get(usize::from(tag)).copied()
+    }
 }
 
 impl StageCounters {
     /// Add `n` to the counter identified by `counter`.
     pub fn record(&mut self, counter: Counter, n: u64) {
-        match counter {
-            Counter::ExecutablesTried => self.executables_tried += n,
-            Counter::ParseFailures => self.parse_failures += n,
-            Counter::LiftFailures => self.lift_failures += n,
-            Counter::TaintQueries => self.taint_queries += n,
-            Counter::TaintCacheHits => self.taint_cache_hits += n,
-            Counter::SlicesRendered => self.slices_rendered += n,
-            Counter::FieldsMatched => self.fields_matched += n,
-            Counter::CacheHits => self.cache_hits += n,
-            Counter::CacheMisses => self.cache_misses += n,
-            Counter::CacheBytesRead => self.cache_bytes_read += n,
-            Counter::CacheBytesWritten => self.cache_bytes_written += n,
-            Counter::LibFnsMatched => self.lib_fns_matched += n,
-            Counter::LibTraversalsSkipped => self.lib_traversals_skipped += n,
-            Counter::LibSummaryApplies => self.lib_summary_applies += n,
-            Counter::SlicesBatched => self.slices_batched += n,
-            Counter::PrefilterSkips => self.prefilter_skips += n,
-        }
+        *self.slot(counter) += n;
     }
 
     /// Read the counter identified by `counter`.
     pub fn get(&self, counter: Counter) -> u64 {
-        match counter {
-            Counter::ExecutablesTried => self.executables_tried,
-            Counter::ParseFailures => self.parse_failures,
-            Counter::LiftFailures => self.lift_failures,
-            Counter::TaintQueries => self.taint_queries,
-            Counter::TaintCacheHits => self.taint_cache_hits,
-            Counter::SlicesRendered => self.slices_rendered,
-            Counter::FieldsMatched => self.fields_matched,
-            Counter::CacheHits => self.cache_hits,
-            Counter::CacheMisses => self.cache_misses,
-            Counter::CacheBytesRead => self.cache_bytes_read,
-            Counter::CacheBytesWritten => self.cache_bytes_written,
-            Counter::LibFnsMatched => self.lib_fns_matched,
-            Counter::LibTraversalsSkipped => self.lib_traversals_skipped,
-            Counter::LibSummaryApplies => self.lib_summary_applies,
-            Counter::SlicesBatched => self.slices_batched,
-            Counter::PrefilterSkips => self.prefilter_skips,
-        }
+        // Reading through a copy keeps `slot` the one accessor.
+        let mut copy = *self;
+        *copy.slot(counter)
     }
 }
 
@@ -335,6 +316,22 @@ mod tests {
         assert_eq!(c.get(Counter::TaintQueries), 5);
         assert_eq!(c.get(Counter::FieldsMatched), 1);
         assert_eq!(c.get(Counter::LiftFailures), 0);
+    }
+
+    #[test]
+    fn every_counter_has_its_own_slot_and_tag() {
+        let mut c = StageCounters::default();
+        for (k, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(usize::from(counter.tag()), k, "{counter:?}");
+            assert_eq!(Counter::from_tag(counter.tag()), Some(counter));
+            c.record(counter, k as u64 + 1);
+        }
+        for (k, &counter) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c.get(counter), k as u64 + 1, "{counter:?}");
+        }
+        assert_eq!(c.class_cache_hits, 0, "no counter feeds the legacy slot");
+        assert_eq!(Counter::from_tag(Counter::ALL.len() as u8), None);
+        assert_eq!(Counter::from_tag(u8::MAX), None);
     }
 
     #[test]

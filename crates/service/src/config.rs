@@ -6,9 +6,9 @@
 //! # the built-in behavior exactly.
 //!
 //! [service]
-//! workers = 2          # pipeline worker threads
-//! unit_jobs = 1        # message-unit parallelism inside one job
-//! io_threads = 2       # sockets-per-thread multiplexer shards
+//! workers = 2          # pipeline worker threads (≥ 1)
+//! unit_jobs = 1        # message-unit parallelism inside one job (≥ 1)
+//! io_threads = 2       # sockets-per-thread multiplexer shards (≥ 1)
 //!
 //! [admission]
 //! queue_cap = 32       # bounded FIFO depth (QueueFull beyond it)
@@ -20,7 +20,6 @@
 //! byte_budget = 512M   # eviction budget ("none" = unbounded)
 //! high_watermark = 1.0 # GC trigger, as a fraction of the budget
 //! low_watermark = 0.85 # GC target, as a fraction of the budget
-//! exempt_pinned = true # pinned entries survive collection
 //!
 //! [libid]
 //! index = /etc/firmres/known.flix  # known-library index (.flix)
@@ -30,9 +29,13 @@
 //! headers, `key = value` lines — and strict: an unknown section or
 //! key is an error, not a silent no-op, because a typoed
 //! `byte_budgt = 1G` that parses cleanly would run the store
-//! unbounded. `[store]` keys are delegated to
-//! [`StorePolicy::apply`], so the file and the `cache-stats`/`serve`
-//! flags can never drift apart.
+//! unbounded. So is a removed key (`class_cache_entries`,
+//! `exempt_pinned`), and so is a thread count of 0, which would start
+//! no worker and leave every miss queued forever. `serve`'s policy
+//! flags each name one `(section, key)` and go through
+//! [`ServiceConfig::apply`], and `[store]` keys are delegated to
+//! [`StorePolicy::apply`], so the file and the flags parse with one
+//! parser and cannot drift apart.
 
 use firmres_cache::StorePolicy;
 use std::path::Path;
@@ -148,17 +151,25 @@ impl ServiceConfig {
         }
     }
 
-    /// Apply one `section.key = value` assignment.
+    /// Apply one `section.key = value` assignment. A value error that
+    /// names the key starts with it, so a caller that spells the knob
+    /// differently (a `serve` flag) can substitute its own name.
     pub fn apply(&mut self, section: &str, key: &str, value: &str) -> Result<(), String> {
         let count = |what: &str| -> Result<usize, String> {
             value
                 .parse::<usize>()
                 .map_err(|_| format!("{what}: not a count: {value:?}"))
         };
+        let threads = |what: &str| match count(what)? {
+            0 => Err(format!(
+                "{what} must be at least 1 (0 threads cannot run anything)"
+            )),
+            n => Ok(n),
+        };
         match (section, key) {
-            ("service", "workers") => self.workers = count("workers")?,
-            ("service", "unit_jobs") => self.unit_jobs = count("unit_jobs")?,
-            ("service", "io_threads") => self.io_threads = count("io_threads")?,
+            ("service", "workers") => self.workers = threads("workers")?,
+            ("service", "unit_jobs") => self.unit_jobs = threads("unit_jobs")?,
+            ("service", "io_threads") => self.io_threads = threads("io_threads")?,
             ("admission", "queue_cap") => self.queue_cap = count("queue_cap")?,
             ("admission", "inflight_cap") => {
                 self.conn_inflight_cap = value
@@ -214,8 +225,7 @@ mod tests {
             shards = 8\n\
             byte_budget = 2M\n\
             high_watermark = 0.95\n\
-            low_watermark = 0.8\n\
-            exempt_pinned = false\n";
+            low_watermark = 0.8\n";
         let cfg = ServiceConfig::parse(text).expect("full config parses");
         assert_eq!(cfg.libid_index, None);
         assert_eq!(cfg.workers, 4);
@@ -226,7 +236,6 @@ mod tests {
         assert_eq!(cfg.retry_after_ms, 100);
         assert_eq!(cfg.store.shards, 8);
         assert_eq!(cfg.store.byte_budget, Some(2 << 20));
-        assert!(!cfg.store.exempt_pinned);
     }
 
     #[test]
@@ -235,6 +244,25 @@ mod tests {
             ServiceConfig::parse("[store]\nshards = 4\nclass_cache_entries = 4096\n").unwrap_err();
         assert!(err.contains("line 3"), "{err}");
         assert!(err.contains("class_cache_entries"), "{err}");
+    }
+
+    #[test]
+    fn removed_pinning_knob_is_rejected_with_its_line() {
+        let err = ServiceConfig::parse("[store]\nexempt_pinned = true\n").unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("exempt_pinned"), "{err}");
+    }
+
+    #[test]
+    fn zero_thread_counts_are_rejected_with_their_line() {
+        let err = ServiceConfig::parse("[service]\nunit_jobs = 2\nworkers = 0\n").unwrap_err();
+        assert!(err.contains("line 3"), "{err}");
+        assert!(err.contains("workers must be at least 1"), "{err}");
+        for key in ["unit_jobs", "io_threads"] {
+            let err = ServiceConfig::parse(&format!("[service]\n{key} = 0\n")).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains(&format!("{key} must be at least 1")), "{err}");
+        }
     }
 
     #[test]

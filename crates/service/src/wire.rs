@@ -29,20 +29,26 @@
 //! The `Analysis` payload is the FRAC codec's [`put_analysis`] encoding
 //! of the finished [`FirmwareAnalysis`] — the same bytes the analysis
 //! cache persists — which is what makes "served result ≡ local result"
-//! checkable byte-for-byte.
+//! checkable byte-for-byte. An `Event` frame carries the codec's
+//! [`put_event`] encoding (the one the unit banks store), and a
+//! `Submit` carries its [`put_config`] bytes (the ones the cache key
+//! fingerprints): the wire defines no encoding of its own for either.
 //!
 //! [`put_analysis`]: firmres_cache::codec::put_analysis
 //! [`FirmwareAnalysis`]: firmres::FirmwareAnalysis
 
 use bytes::BufMut;
-use firmres::{AnalysisConfig, Counter, Diagnostic, Event, Severity, StageKind};
-use firmres_cache::codec::{DecodeError, Reader};
+use firmres::{AnalysisConfig, Event};
+use firmres_cache::codec::{
+    get_config, get_event, put_config, put_event, put_string, DecodeError, Reader,
+};
 use std::fmt;
 use std::io::{Read, Write};
-use std::time::Duration;
 
-/// Version of this wire protocol. Bump on any frame-layout change; the
-/// handshake refuses mismatched peers instead of misparsing them.
+/// Version of this wire protocol. Bump on any frame-layout change,
+/// including a change to the cache codec's event or config encoding,
+/// which frames carry; the handshake refuses mismatched peers instead of
+/// misparsing them.
 pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on one frame's body length. Larger length prefixes are
@@ -367,182 +373,6 @@ fn done<T>(value: T, r: &Reader<'_>) -> Result<T, WireError> {
 
 // ---- leaf encodings -----------------------------------------------------
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
-
-fn put_stage_kind(out: &mut Vec<u8>, s: StageKind) {
-    // Local exhaustive tags, FRAC-codec style: a new StageKind variant
-    // fails this match, signalling a PROTOCOL_VERSION bump.
-    out.put_u8(match s {
-        StageKind::Input => 0,
-        StageKind::ExeId => 1,
-        StageKind::FieldId => 2,
-        StageKind::Semantics => 3,
-        StageKind::Concat => 4,
-        StageKind::FormCheck => 5,
-        StageKind::Cache => 6,
-    });
-}
-
-fn get_stage_kind(r: &mut Reader) -> Result<StageKind, WireError> {
-    Ok(match r.u8()? {
-        0 => StageKind::Input,
-        1 => StageKind::ExeId,
-        2 => StageKind::FieldId,
-        3 => StageKind::Semantics,
-        4 => StageKind::Concat,
-        5 => StageKind::FormCheck,
-        6 => StageKind::Cache,
-        t => return Err(WireError::Decode(format!("invalid StageKind tag {t}"))),
-    })
-}
-
-fn put_severity(out: &mut Vec<u8>, s: Severity) {
-    out.put_u8(match s {
-        Severity::Info => 0,
-        Severity::Warning => 1,
-        Severity::Error => 2,
-    });
-}
-
-fn get_severity(r: &mut Reader) -> Result<Severity, WireError> {
-    Ok(match r.u8()? {
-        0 => Severity::Info,
-        1 => Severity::Warning,
-        2 => Severity::Error,
-        t => return Err(WireError::Decode(format!("invalid Severity tag {t}"))),
-    })
-}
-
-fn put_counter(out: &mut Vec<u8>, c: Counter) {
-    out.put_u8(match c {
-        Counter::ExecutablesTried => 0,
-        Counter::ParseFailures => 1,
-        Counter::LiftFailures => 2,
-        Counter::TaintQueries => 3,
-        Counter::TaintCacheHits => 4,
-        Counter::SlicesRendered => 5,
-        Counter::FieldsMatched => 6,
-        Counter::CacheHits => 7,
-        Counter::CacheMisses => 8,
-        Counter::CacheBytesRead => 9,
-        Counter::CacheBytesWritten => 10,
-        Counter::LibFnsMatched => 11,
-        Counter::LibTraversalsSkipped => 12,
-        Counter::LibSummaryApplies => 13,
-        Counter::SlicesBatched => 14,
-        Counter::PrefilterSkips => 15,
-    });
-}
-
-fn get_counter(r: &mut Reader) -> Result<Counter, WireError> {
-    Ok(match r.u8()? {
-        0 => Counter::ExecutablesTried,
-        1 => Counter::ParseFailures,
-        2 => Counter::LiftFailures,
-        3 => Counter::TaintQueries,
-        4 => Counter::TaintCacheHits,
-        5 => Counter::SlicesRendered,
-        6 => Counter::FieldsMatched,
-        7 => Counter::CacheHits,
-        8 => Counter::CacheMisses,
-        9 => Counter::CacheBytesRead,
-        10 => Counter::CacheBytesWritten,
-        11 => Counter::LibFnsMatched,
-        12 => Counter::LibTraversalsSkipped,
-        13 => Counter::LibSummaryApplies,
-        14 => Counter::SlicesBatched,
-        15 => Counter::PrefilterSkips,
-        t => return Err(WireError::Decode(format!("invalid Counter tag {t}"))),
-    })
-}
-
-fn put_diagnostic(out: &mut Vec<u8>, d: &Diagnostic) {
-    put_stage_kind(out, d.stage);
-    put_severity(out, d.severity);
-    match &d.subject {
-        None => out.put_u8(0),
-        Some(s) => {
-            out.put_u8(1);
-            put_string(out, s);
-        }
-    }
-    put_string(out, &d.detail);
-}
-
-fn get_diagnostic(r: &mut Reader) -> Result<Diagnostic, WireError> {
-    let stage = get_stage_kind(r)?;
-    let severity = get_severity(r)?;
-    let subject = if r.boolean()? {
-        Some(r.string()?)
-    } else {
-        None
-    };
-    let detail = r.string()?;
-    Ok(match subject {
-        Some(s) => Diagnostic::new(stage, severity, s, detail),
-        None => Diagnostic::bare(stage, severity, detail),
-    })
-}
-
-fn put_event(out: &mut Vec<u8>, ev: &Event) {
-    match ev {
-        Event::StageStarted(stage) => {
-            out.put_u8(0);
-            put_stage_kind(out, *stage);
-        }
-        Event::StageFinished(stage, elapsed) => {
-            out.put_u8(1);
-            put_stage_kind(out, *stage);
-            out.put_u64_le(elapsed.as_nanos() as u64);
-        }
-        Event::Count(counter, n) => {
-            out.put_u8(2);
-            put_counter(out, *counter);
-            out.put_u64_le(*n);
-        }
-        Event::Diagnostic(d) => {
-            out.put_u8(3);
-            put_diagnostic(out, d);
-        }
-    }
-}
-
-fn get_event(r: &mut Reader) -> Result<Event, WireError> {
-    Ok(match r.u8()? {
-        0 => Event::StageStarted(get_stage_kind(r)?),
-        1 => Event::StageFinished(get_stage_kind(r)?, Duration::from_nanos(r.u64()?)),
-        2 => Event::Count(get_counter(r)?, r.u64()?),
-        3 => Event::Diagnostic(get_diagnostic(r)?),
-        t => return Err(WireError::Decode(format!("invalid Event tag {t}"))),
-    })
-}
-
-/// Encode every [`AnalysisConfig`] knob that changes analysis output —
-/// the same field set [`config_fingerprint`] covers, so a config that
-/// round-trips the wire fingerprints identically on both ends.
-///
-/// [`config_fingerprint`]: firmres_cache::config_fingerprint
-fn put_config(out: &mut Vec<u8>, config: &AnalysisConfig) {
-    out.put_u64_le(config.exeid.score_threshold.to_bits());
-    out.put_u64_le(config.taint.max_depth as u64);
-    out.put_u64_le(config.taint.max_nodes as u64);
-    out.put_u8(config.taint.overtaint as u8);
-    out.put_u8(config.taint.decompose_buffers as u8);
-}
-
-fn get_config(r: &mut Reader) -> Result<AnalysisConfig, WireError> {
-    let mut config = AnalysisConfig::default();
-    config.exeid.score_threshold = f64::from_bits(r.u64()?);
-    config.taint.max_depth = r.u64()? as usize;
-    config.taint.max_nodes = r.u64()? as usize;
-    config.taint.overtaint = r.boolean()?;
-    config.taint.decompose_buffers = r.boolean()?;
-    Ok(config)
-}
-
 fn put_reject_reason(out: &mut Vec<u8>, reason: &RejectReason) {
     match reason {
         RejectReason::QueueFull {
@@ -830,7 +660,13 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use firmres::{Counter, Diagnostic, Severity, StageKind};
     use firmres_cache::config_fingerprint;
+    use std::time::Duration;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     fn request_round_trip(req: &Request) -> Request {
         Request::decode(&req.encode()).expect("round trip decodes")
@@ -947,14 +783,15 @@ mod tests {
 
     #[test]
     fn every_event_kind_survives_the_wire() {
+        let counts = Counter::ALL.iter().map(|&c| Event::Count(c, 9));
         for ev in [
             Event::StageStarted(StageKind::ExeId),
             Event::StageFinished(StageKind::FormCheck, Duration::from_nanos(17)),
-            Event::Count(Counter::TaintQueries, 9),
-            Event::Count(Counter::SlicesBatched, 4),
-            Event::Count(Counter::PrefilterSkips, 2),
             Event::Diagnostic(Diagnostic::bare(StageKind::Cache, Severity::Warning, "w")),
-        ] {
+        ]
+        .into_iter()
+        .chain(counts)
+        {
             let resp = Response::Event {
                 job_id: 1,
                 event: ev.clone(),
@@ -964,6 +801,36 @@ mod tests {
                 other => panic!("decoded to {other:?}"),
             }
         }
+    }
+
+    /// Event frames captured from the wire's own event encoder before
+    /// it was replaced by the cache codec's: clients keep decoding them.
+    #[test]
+    fn event_frame_bytes_are_pinned() {
+        let frame = |event| hex(&Response::Event { job_id: 7, event }.encode());
+        assert_eq!(
+            frame(Event::Count(
+                Counter::LibSummaryApplies,
+                0x0102_0304_0506_0708
+            )),
+            "030700000000000000020d0807060504030201"
+        );
+        assert_eq!(
+            frame(Event::StageFinished(
+                StageKind::Semantics,
+                Duration::from_nanos(1_234_567)
+            )),
+            "030700000000000000010387d6120000000000"
+        );
+        assert_eq!(
+            frame(Event::Diagnostic(Diagnostic::new(
+                StageKind::Cache,
+                Severity::Warning,
+                "f@0x100",
+                "fallback"
+            ))),
+            "0307000000000000000306010107000000664030783130300800000066616c6c6261636b"
+        );
     }
 
     #[test]

@@ -78,9 +78,12 @@ for _ in $(seq 1 200); do
   sleep 0.1
 done
 addr="$(cat "$smoke_dir/port")"
-# The served report must be byte-identical to the local run.
-cli submit "$addr" "$smoke_dir/dev14.fwi" > "$smoke_dir/served.txt"
-cmp "$smoke_dir/local.txt" "$smoke_dir/served.txt"
+# The cold submit streams the release daemon's Event frames, decoded
+# end to end; below its first line, the served report must be
+# byte-identical to the local run.
+cli submit "$addr" "$smoke_dir/dev14.fwi" --events > "$smoke_dir/served.txt"
+head -n 1 "$smoke_dir/served.txt" | grep -Eq 'streamed [1-9][0-9]* progress event\(s\)$'
+cmp "$smoke_dir/local.txt" <(tail -n +2 "$smoke_dir/served.txt")
 # A hash resubmit answers from the daemon's cache without the bytes.
 cli submit "$addr" "$smoke_dir/dev14.fwi" --hash --events | grep -q 'served from cache'
 cli status "$addr" | grep -q 'served 2 (1 cache hit'

@@ -724,57 +724,41 @@ fn cmd_mutate(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// `serve` flags that each override one config-file key. They go
+/// through [`ServiceConfig::apply`], the file's own parser, so a flag
+/// and its key accept and reject the same values.
+///
+/// [`ServiceConfig::apply`]: firmres_service::ServiceConfig::apply
+const SERVE_FLAGS: [(&str, &str, &str); 9] = [
+    ("--workers", "service", "workers"),
+    ("--jobs", "service", "unit_jobs"),
+    ("--io-threads", "service", "io_threads"),
+    ("--queue", "admission", "queue_cap"),
+    ("--inflight", "admission", "inflight_cap"),
+    ("--retry-after", "admission", "retry_after_ms"),
+    ("--shards", "store", "shards"),
+    ("--store-budget", "store", "byte_budget"),
+    ("--libid", "libid", "index"),
+];
+
 fn cmd_serve(args: &[String]) -> Result<String, String> {
     let mut cache_dir: Option<String> = None;
     let mut port_file: Option<String> = None;
     let mut config_file: Option<String> = None;
-    let mut workers: Option<usize> = None;
-    let mut unit_jobs: Option<usize> = None;
-    let mut io_threads: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut inflight_cap: Option<u32> = None;
-    let mut retry_after: Option<u64> = None;
-    let mut shards: Option<String> = None;
-    let mut store_budget: Option<String> = None;
-    let mut libid: Option<String> = None;
+    let mut overrides = Vec::new();
     let mut positional: Vec<&String> = Vec::new();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
             "--cache" => cache_dir = Some(rest.next().ok_or(USAGE)?.clone()),
-            "--libid" => libid = Some(rest.next().ok_or(USAGE)?.clone()),
             "--port-file" => port_file = Some(rest.next().ok_or(USAGE)?.clone()),
             "--config" => config_file = Some(rest.next().ok_or(USAGE)?.clone()),
-            "--workers" => workers = Some(parse_count(rest.next(), "--workers")?),
-            "--jobs" => unit_jobs = Some(parse_count(rest.next(), "--jobs")?),
-            "--io-threads" => io_threads = Some(parse_count(rest.next(), "--io-threads")?),
-            "--queue" => {
-                queue_cap = Some(
-                    rest.next()
-                        .ok_or(USAGE)?
-                        .parse()
-                        .map_err(|_| "--queue takes a capacity".to_string())?,
-                );
-            }
-            "--inflight" => {
-                inflight_cap = Some(
-                    rest.next()
-                        .ok_or(USAGE)?
-                        .parse()
-                        .map_err(|_| "--inflight takes a cap".to_string())?,
-                );
-            }
-            "--retry-after" => {
-                retry_after = Some(
-                    rest.next()
-                        .ok_or(USAGE)?
-                        .parse()
-                        .map_err(|_| "--retry-after takes milliseconds".to_string())?,
-                );
-            }
-            "--shards" => shards = Some(rest.next().ok_or(USAGE)?.clone()),
-            "--store-budget" => store_budget = Some(rest.next().ok_or(USAGE)?.clone()),
-            _ => positional.push(a),
+            flag => match SERVE_FLAGS.iter().find(|(f, ..)| *f == flag) {
+                Some(&(flag, section, key)) => {
+                    overrides.push((flag, section, key, rest.next().ok_or(USAGE)?));
+                }
+                None => positional.push(a),
+            },
         }
     }
     let addr = positional.first().ok_or(USAGE)?;
@@ -787,33 +771,16 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         Some(path) => firmres_service::ServiceConfig::from_file(path)?,
         None => firmres_service::ServiceConfig::default(),
     };
-    if let Some(n) = workers {
-        svc.workers = n;
-    }
-    if let Some(n) = unit_jobs {
-        svc.unit_jobs = n;
-    }
-    if let Some(n) = io_threads {
-        svc.io_threads = n;
-    }
-    if let Some(n) = queue_cap {
-        svc.queue_cap = n;
-    }
-    if let Some(n) = inflight_cap {
-        svc.conn_inflight_cap = n;
-    }
-    if let Some(ms) = retry_after {
-        svc.retry_after_ms = ms;
-    }
-    if let Some(v) = &shards {
-        svc.store.apply("shards", v)?;
-    }
-    if let Some(v) = &store_budget {
-        svc.store.apply("byte_budget", v)?;
+    for (flag, section, key, value) in overrides {
+        // A value error that names the key starts with it: name the flag.
+        svc.apply(section, key, value)
+            .map_err(|e| match e.strip_prefix(key) {
+                Some(rest) => format!("{flag}{rest}"),
+                None => e,
+            })?;
     }
     svc.store.validate()?;
-    // The flag overrides the config file's [libid] index path.
-    let lib_index = match libid.as_deref().or(svc.libid_index.as_deref()) {
+    let lib_index = match svc.libid_index.as_deref() {
         Some(path) => Some(std::sync::Arc::new(load_flix(path)?)),
         None => None,
     };
@@ -1337,6 +1304,7 @@ mod tests {
         assert!(err.contains("shards"), "{err}");
         let err = run(&s(&["serve", "127.0.0.1:0", "--store-budget", "lots"])).unwrap_err();
         assert!(err.contains("byte size"), "{err}");
+        assert!(err.starts_with("--store-budget: "), "{err}");
         let err = run(&s(&["serve", "127.0.0.1:0", "--io-threads", "0"])).unwrap_err();
         assert!(err.contains("--io-threads"), "{err}");
     }

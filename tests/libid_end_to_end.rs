@@ -12,6 +12,7 @@ use firmres_dataflow::{LibId, LibIndex};
 use firmres_firmware::FirmwareImage;
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -22,7 +23,13 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// Build the roster index exactly as `libid build` does.
 fn roster_index() -> Arc<LibIndex> {
-    let dir = temp_dir("fixtures");
+    // Tests run on parallel threads: each build writes its own fixture
+    // directory, or one test's cleanup deletes another's fixtures.
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    let dir = temp_dir(&format!(
+        "fixtures-{}",
+        BUILDS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     for k in 0..firmres_corpus::ROSTER.len() {
         std::fs::write(

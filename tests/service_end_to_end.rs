@@ -6,7 +6,7 @@
 //! hanging; and drain finishes accounting for in-flight work before
 //! refusing the world.
 
-use firmres::{analyze_firmware, AnalysisConfig};
+use firmres::{analyze_firmware, AnalysisConfig, CollectingObserver, StageEvents};
 use firmres_cache::codec::put_analysis;
 use firmres_firmware::content_hash_packed_wide;
 use firmres_service::wire::{read_response, send_request, Request, Response};
@@ -71,14 +71,33 @@ fn served_analysis_is_byte_identical_and_hash_submits_reuse_the_cache() {
         .submit(SubmitImage::Bytes(packed.clone()), &config, true, 0)
         .expect("cold submit");
     assert!(!cold.from_cache);
+    assert!(
+        !cold.events.is_empty(),
+        "a streamed cold run reports progress events"
+    );
+    // The streamed events are the run's observer stream: replayed into
+    // a collector they rebuild the served counters and diagnostics. The
+    // four cache_* counters are the exception: the unit funnel reports
+    // its store traffic to the observer only, never into the analysis.
+    let mut replayed = CollectingObserver::default();
+    StageEvents {
+        events: cold.events.clone(),
+        ..StageEvents::default()
+    }
+    .replay(&mut replayed);
+    let mut streamed = replayed.counters;
+    assert!(streamed.cache_bytes_written > 0, "{streamed:?}");
+    streamed.cache_hits = 0;
+    streamed.cache_misses = 0;
+    streamed.cache_bytes_read = 0;
+    streamed.cache_bytes_written = 0;
+    assert_eq!(streamed, cold.analysis.counters);
+    assert!(streamed.taint_queries > 0, "{streamed:?}");
+    assert_eq!(replayed.diagnostics, cold.analysis.diagnostics);
     assert_eq!(
         canonical(cold.analysis),
         local,
         "served analysis differs from local"
-    );
-    assert!(
-        !cold.events.is_empty(),
-        "a streamed cold run reports progress events"
     );
 
     // Warm submit of the same bytes: answered from the cache, and the
