@@ -110,20 +110,6 @@ fn sweep(fleet: &[FirmwareImage], index: Option<&Arc<LibIndex>>) -> Sweep {
     }
 }
 
-/// Best-of-`reps` sweep ranked by taint-stage time (the gated number;
-/// the reports are deterministic, so every rep encodes identically).
-fn best_sweep(fleet: &[FirmwareImage], index: Option<&Arc<LibIndex>>, reps: usize) -> Sweep {
-    let mut best: Option<Sweep> = None;
-    for _ in 0..reps {
-        let s = sweep(fleet, index);
-        best = match best {
-            Some(b) if b.taint_ms <= s.taint_ms => Some(b),
-            _ => Some(s),
-        };
-    }
-    best.expect("reps >= 1")
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -150,17 +136,25 @@ fn main() {
     eprintln!("warmup sweep…");
     let _ = sweep(&fleet, Some(&index));
 
+    // The reps run off, on, on, off, off, on, so a slow stretch of the
+    // shared host falls on both sides instead of on whichever side runs
+    // last. Each side keeps its best of three, ranked by taint-stage
+    // time (the gated number; the reports are deterministic, so every
+    // rep encodes identically).
     let reps = 3;
     eprintln!(
-        "full-traversal sweep: {} devices × {reps} reps…",
+        "full-traversal and summary-replay sweeps, interleaved: {} devices × {reps} reps each…",
         fleet.len()
     );
-    let off = best_sweep(&fleet, None, reps);
-    eprintln!(
-        "summary-replay sweep: {} devices × {reps} reps…",
-        fleet.len()
-    );
-    let on = best_sweep(&fleet, Some(&index), reps);
+    let mut off = sweep(&fleet, None);
+    let mut on = sweep(&fleet, Some(&index));
+    for replay in [true, false, false, true] {
+        let s = sweep(&fleet, replay.then_some(&index));
+        let best = if replay { &mut on } else { &mut off };
+        if s.taint_ms < best.taint_ms {
+            *best = s;
+        }
+    }
 
     let speedup = off.taint_ms / on.taint_ms.max(1e-9);
     let wall_speedup = off.wall_ms / on.wall_ms.max(1e-9);

@@ -25,7 +25,7 @@ use firmres::{
     AnalysisConfig, Counter, Diagnostic, Event, FirmwareAnalysis, FormFlaw, HandlerInfo,
     MessagePhase, MessageRecord, Severity, StageCounters, StageEvents, StageKind, StageTimings,
 };
-use firmres_dataflow::{intern_unresolved_reason, FieldSource, SourceKind, TaintSummary};
+use firmres_dataflow::{intern_unresolved_reason, FieldSource, SourceKind};
 use firmres_ir::{AddressSpace, Opcode, PcodeOp, Varnode};
 use firmres_mft::{
     CodeSlice, MessageField, MessageFormat, Mft, MftNode, MftNodeId, MftNodeKind,
@@ -775,7 +775,7 @@ pub fn get_record(r: &mut Reader) -> Result<MessageRecord, DecodeError> {
     })
 }
 
-// ---- handlers, taint summaries, accounting ------------------------------
+// ---- handlers, accounting -------------------------------------------------
 
 /// Encode one [`HandlerInfo`].
 pub fn put_handler(out: &mut Vec<u8>, h: &HandlerInfo) {
@@ -799,26 +799,6 @@ pub fn get_handler(r: &mut Reader) -> Result<HandlerInfo, DecodeError> {
         score: r.f64()?,
         is_async: r.boolean()?,
     })
-}
-
-/// Encode one [`TaintSummary`].
-pub fn put_taint_summary(out: &mut Vec<u8>, s: &TaintSummary) {
-    out.put_u64_le(s.nodes as u64);
-    out.put_u32_le(s.sources.len() as u32);
-    for src in &s.sources {
-        put_field_source(out, src);
-    }
-}
-
-/// Decode one [`TaintSummary`].
-pub fn get_taint_summary(r: &mut Reader) -> Result<TaintSummary, DecodeError> {
-    let nodes = r.u64()? as usize;
-    let n = r.seq_len()?;
-    let mut sources = Vec::with_capacity(n);
-    for _ in 0..n {
-        sources.push(get_field_source(r)?);
-    }
-    Ok(TaintSummary { nodes, sources })
 }
 
 fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
@@ -1134,31 +1114,28 @@ mod tests {
         assert!(got.is_async);
     }
 
-    #[test]
-    fn taint_summaries_round_trip() {
-        let s = TaintSummary {
-            nodes: 17,
-            sources: sample_sources(),
-        };
-        let mut out = Vec::new();
-        put_taint_summary(&mut out, &s);
-        assert_eq!(get_taint_summary(&mut Reader::new(&out)).unwrap(), s);
+    /// A length-prefixed list of field sources, the shape of every
+    /// sequence in the codec.
+    fn get_sources(r: &mut Reader) -> Result<Vec<FieldSource>, DecodeError> {
+        let n = r.seq_len()?;
+        (0..n).map(|_| get_field_source(r)).collect()
     }
 
     #[test]
     fn truncated_input_errors_instead_of_panicking() {
-        let s = TaintSummary {
-            nodes: 3,
-            sources: sample_sources(),
-        };
+        let sources = sample_sources();
         let mut out = Vec::new();
-        put_taint_summary(&mut out, &s);
+        out.put_u32_le(sources.len() as u32);
+        for src in &sources {
+            put_field_source(&mut out, src);
+        }
+        assert_eq!(get_sources(&mut Reader::new(&out)).unwrap(), sources);
         for cut in 0..out.len() {
             // Every prefix must fail cleanly (no panic, no bogus value
             // that consumes the full buffer).
             let mut r = Reader::new(&out[..cut]);
             assert!(
-                get_taint_summary(&mut r).is_err() || r.remaining() == 0,
+                get_sources(&mut r).is_err() || r.remaining() == 0,
                 "prefix of {cut} bytes neither errored nor consumed cleanly"
             );
         }
@@ -1298,9 +1275,9 @@ mod tests {
     fn hostile_length_prefix_is_rejected() {
         // A u32::MAX vector length must not attempt a giant allocation.
         let mut out = Vec::new();
-        out.put_u64_le(1); // nodes
         out.put_u32_le(u32::MAX); // sources length
-        assert!(get_taint_summary(&mut Reader::new(&out)).is_err());
+        out.put_u64_le(1);
+        assert!(get_sources(&mut Reader::new(&out)).is_err());
     }
 
     fn field_node(id: usize, parent: usize) -> MftNode {

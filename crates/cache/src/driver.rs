@@ -224,7 +224,7 @@ pub fn analyze_corpus_incremental(
             (analysis, encoded)
         });
         if !spliced || diag.is_some() {
-            match cache.store_encoded(&keys[i], &analysis, &encoded) {
+            match cache.store_encoded(&keys[i], &encoded) {
                 Ok(written) => {
                     stats.bytes_written += written;
                     observer.count(Counter::CacheBytesWritten, written);

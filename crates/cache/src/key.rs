@@ -105,6 +105,16 @@ impl CacheKey {
         }
     }
 
+    /// The key echo a sealed entry carries: all four parts, little-endian.
+    pub(crate) fn echo(&self) -> [u8; 36] {
+        let mut out = [0u8; 36];
+        out[..16].copy_from_slice(&self.image.to_le_bytes());
+        out[16..20].copy_from_slice(&self.pipeline.to_le_bytes());
+        out[20..28].copy_from_slice(&self.config.to_le_bytes());
+        out[28..].copy_from_slice(&self.classifier.to_le_bytes());
+        out
+    }
+
     /// The store file name this key maps to (hex of all four parts).
     pub fn file_name(&self) -> String {
         format!(

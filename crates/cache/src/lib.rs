@@ -15,10 +15,9 @@
 //!   that can change output, and a fingerprint of the semantics
 //!   classifier (or the absence of one). Any of the four changing
 //!   changes the key, so stale results are structurally unreachable.
-//! * [`AnalysisCache`] — a one-file-per-key on-disk store holding the
-//!   completed analysis plus per-stage intermediate artifacts (the
-//!   ExeId handler set, the FieldId taint summaries) in independently
-//!   decodable sections, sealed by a checksum.
+//! * [`AnalysisCache`] — a one-file-per-key on-disk store holding each
+//!   completed analysis in a checksummed file. Every artifact the store
+//!   keeps shares one framing ([`seal`]).
 //! * [`analyze_corpus_incremental`] — the drop-in corpus driver: hits
 //!   skip the pipeline entirely, misses run on the shared worker pool
 //!   and populate the store. Damaged entries are diagnosed
@@ -58,6 +57,7 @@ pub mod codec;
 mod driver;
 mod key;
 mod policy;
+pub mod seal;
 mod store;
 pub mod unit;
 
@@ -67,7 +67,6 @@ pub use key::{
 };
 pub use policy::{parse_byte_size, GcOutcome, ShardOccupancy, StorePolicy, MAX_SHARDS};
 pub use store::{
-    taint_summaries, AnalysisCache, CacheError, CachedEntry, ClassifyStats, LibUsage, StoreStats,
-    SCHEMA_VERSION,
+    AnalysisCache, CacheError, CachedEntry, ClassifyStats, LibUsage, StoreStats, SCHEMA_VERSION,
 };
 pub use unit::{analyze_image_units_incremental, UnitFunnelOutcome, UnitStats};

@@ -40,6 +40,8 @@
 //!   │   accumulate, no GC            │
 //! ```
 
+use crate::seal::{open, seal};
+use crate::store::SCHEMA_VERSION;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -461,7 +463,7 @@ pub(crate) fn store_dirs(root: &Path, policy: &StorePolicy) -> Vec<(usize, PathB
 /// File name of the per-shard index (sealed, see [`write_index`]).
 pub(crate) const INDEX_NAME: &str = "shard.fridx";
 
-const INDEX_MAGIC: &[u8; 4] = b"FRIX";
+pub(crate) const INDEX_MAGIC: &[u8; 4] = b"FRIX";
 
 /// A decoded shard index: lifetime eviction counters plus the last known
 /// access tick per surviving artifact.
@@ -478,21 +480,7 @@ pub(crate) struct ShardIndex {
 /// a source of truth.
 pub(crate) fn read_index(path: &Path) -> Option<ShardIndex> {
     let data = std::fs::read(path).ok()?;
-    if data.len() < INDEX_MAGIC.len() + 8 {
-        return None;
-    }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if stored != firmres_firmware::content_hash_packed(body) {
-        return None;
-    }
-    let mut r = crate::codec::Reader::new(body);
-    if r.bytes(4).ok()? != INDEX_MAGIC {
-        return None;
-    }
-    if r.u16().ok()? != crate::store::SCHEMA_VERSION {
-        return None;
-    }
+    let mut r = crate::codec::Reader::new(open(&data, INDEX_MAGIC, SCHEMA_VERSION, &[]).ok()?);
     let mut index = ShardIndex {
         evicted: r.u64().ok()?,
         reclaimed_bytes: r.u64().ok()?,
@@ -514,42 +502,84 @@ pub(crate) fn read_index(path: &Path) -> Option<ShardIndex> {
 /// leaves the previous index intact (and the orphan sweep reaps the
 /// temp).
 fn persist_indexes(root: &Path, policy: &StorePolicy, st: &GcState, touched: &[bool]) {
-    use bytes::BufMut;
     let shards = policy.shards.max(1);
     for (shard, touched) in touched.iter().enumerate() {
         if !touched {
             continue;
         }
-        let mut body = Vec::new();
-        body.put_slice(INDEX_MAGIC);
-        body.put_u16_le(crate::store::SCHEMA_VERSION);
-        body.put_u64_le(st.evicted[shard]);
-        body.put_u64_le(st.reclaimed[shard]);
-        body.put_u64_le(policy.byte_budget.unwrap_or(0));
-        let survivors: Vec<(&String, &FileMeta)> = st
-            .entries
-            .iter()
-            .filter(|(name, _)| shard_of_name(name, shards) == shard)
-            .collect();
-        body.put_u32_le(survivors.len() as u32);
-        for (name, meta) in survivors {
-            body.put_u32_le(name.len() as u32);
-            body.put_slice(name.as_bytes());
-            body.put_u64_le(meta.tick);
-        }
-        body.put_u64_le(firmres_firmware::content_hash_packed(&body));
+        let payload = put_index(st, shard, shards, policy.byte_budget.unwrap_or(0));
         let dir = if policy.shards <= 1 {
             root.to_path_buf()
         } else {
             root.join(shard_dir_name(shard))
         };
-        let _ = crate::store::write_file_atomic(&dir, INDEX_NAME, &body);
+        let sealed = seal(INDEX_MAGIC, SCHEMA_VERSION, &[], &payload);
+        let _ = crate::store::write_file_atomic(&dir, INDEX_NAME, &sealed);
     }
+}
+
+/// One shard's index payload: its lifetime counters, the budget, and the
+/// access tick of every artifact it still holds.
+fn put_index(st: &GcState, shard: usize, shards: usize, budget: u64) -> Vec<u8> {
+    use bytes::BufMut;
+    let mut payload = Vec::new();
+    payload.put_u64_le(st.evicted[shard]);
+    payload.put_u64_le(st.reclaimed[shard]);
+    payload.put_u64_le(budget);
+    let survivors: Vec<(&String, &FileMeta)> = st
+        .entries
+        .iter()
+        .filter(|(name, _)| shard_of_name(name, shards) == shard)
+        .collect();
+    payload.put_u32_le(survivors.len() as u32);
+    for (name, meta) in survivors {
+        payload.put_u32_le(name.len() as u32);
+        payload.put_slice(name.as_bytes());
+        payload.put_u64_le(meta.tick);
+    }
+    payload
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_bytes_are_the_v3_layout_with_a_new_version() {
+        // What `persist_indexes` wrote for this state at schema v3, before
+        // the framing moved into `seal`.
+        const V3: &str = "46524958030002000000000000002c01000000000000001000000000000001\
+                          00000009000000303061612e6672616304000000000000006d4d501e5f8aac3d";
+        let mut st = GcState {
+            evicted: vec![2],
+            reclaimed: vec![300],
+            ..GcState::default()
+        };
+        let meta = FileMeta {
+            bytes: 100,
+            tick: 4,
+        };
+        st.entries.insert("00aa.frac".to_string(), meta);
+        let payload = put_index(&st, 0, 1, 4096);
+        assert_eq!(
+            seal(INDEX_MAGIC, 3, &[], &payload),
+            crate::seal::from_hex(V3)
+        );
+
+        // A persisted index reads back through the same framing.
+        let dir = std::env::temp_dir().join(format!("firmres-index-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let policy = StorePolicy {
+            byte_budget: Some(4096),
+            ..StorePolicy::default()
+        };
+        persist_indexes(&dir, &policy, &st, &[true]);
+        let index = read_index(&dir.join(INDEX_NAME)).expect("index reads back");
+        assert_eq!((index.evicted, index.reclaimed_bytes), (2, 300));
+        assert_eq!(index.budget_bytes, 4096);
+        assert_eq!(index.ticks.get("00aa.frac"), Some(&4));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn default_policy_is_the_historical_store() {

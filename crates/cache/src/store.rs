@@ -1,7 +1,8 @@
-//! The on-disk analysis store: one file per [`CacheKey`], with a
-//! versioned header, sectioned payload, and trailing checksum.
+//! The on-disk analysis store: one sealed file per [`CacheKey`].
 //!
 //! # Entry layout
+//!
+//! An entry is the shared framing of [`crate::seal`] around one payload:
 //!
 //! ```text
 //! "FRAC"                      magic
@@ -10,19 +11,13 @@
 //! u32  pipeline version │     key echo — must match the lookup key
 //! u64  config hash      │
 //! u64  classifier hash  ┘
-//! u32+bytes  handlers section        (Vec<HandlerInfo>)
-//! u32+bytes  taint-summary section   (Vec<TaintSummary>)
-//! u32+bytes  analysis section        (FirmwareAnalysis)
+//! bytes  analysis             (put_analysis of the FirmwareAnalysis)
 //! u64  FNV-64 of everything above
 //! ```
 //!
 //! Entries are written to a temp file in the store directory and
 //! renamed into place, so a crash mid-write or a concurrent reader in a
 //! shared cache directory never observes a torn entry.
-//!
-//! Each section is byte-length-prefixed, so [`AnalysisCache::load_handlers`]
-//! and [`AnalysisCache::load_taint_summaries`] can return a stage's
-//! intermediate artifact without decoding the full analysis.
 //!
 //! Every failure mode — missing file, foreign magic, schema or key
 //! mismatch, truncation, checksum or decode failure — is a typed
@@ -32,43 +27,33 @@
 //!
 //! [`StageKind::Cache`]: firmres::StageKind
 
-use crate::codec::{
-    get_analysis, get_handler, get_taint_summary, put_analysis, put_handler, put_taint_summary,
-    DecodeError, Reader,
-};
+use crate::codec::{get_analysis, put_analysis, DecodeError, Reader};
 use crate::key::CacheKey;
 use crate::policy::{self, Evictor, GcOutcome, ShardOccupancy, StorePolicy};
-use bytes::BufMut;
+use crate::seal::{open, seal, SealError};
 use firmres::stages::ClassifyTally;
-use firmres::{FirmwareAnalysis, HandlerInfo};
-use firmres_dataflow::TaintSummary;
-use firmres_firmware::content_hash_packed;
-use firmres_mft::MftNodeKind;
+use firmres::FirmwareAnalysis;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version of the entry layout itself (header + sectioning), as opposed
-/// to [`PIPELINE_VERSION`] which covers what the sections *contain*.
+/// Version of the sealed framing of every store artifact (`.frac`
+/// entries, `.fru` banks, `.frv` verdicts and `shard.fridx` indexes), as
+/// opposed to [`PIPELINE_VERSION`] which covers what an analysis
+/// *contains*. An artifact at any other version reads as stale.
 ///
 /// # History
 ///
+/// * v4 — an entry's payload is the analysis alone: the handler and
+///   taint-summary sections are gone.
 /// * v3 — the store gained unit-granular sibling artifacts (`.fru` bank
-///   and `.frv` verdict files, see [`crate::unit`]). The `.frac` image
-///   entry layout itself is unchanged, so v2 entries remain fully
-///   servable: [`read_verified`] accepts both versions. New writes are
-///   stamped v3.
+///   and `.frv` verdict files, see [`crate::unit`]).
 /// * v2 — sectioned payload with per-stage artifacts.
 ///
 /// [`PIPELINE_VERSION`]: crate::PIPELINE_VERSION
-/// [`read_verified`]: AnalysisCache::load
-pub const SCHEMA_VERSION: u16 = 3;
+pub const SCHEMA_VERSION: u16 = 4;
 
-/// The oldest schema version whose `.frac` entries this build can still
-/// decode. v2 and v3 share the entry layout byte for byte.
-pub const MIN_READ_SCHEMA_VERSION: u16 = 2;
-
-const MAGIC: &[u8; 4] = b"FRAC";
+pub(crate) const MAGIC: &[u8; 4] = b"FRAC";
 
 /// Why a cache lookup did not produce a usable entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +76,7 @@ pub enum CacheError {
     Truncated,
     /// The trailing checksum does not match the entry bytes.
     BadChecksum,
-    /// A section's bytes do not decode.
+    /// The payload does not decode.
     Decode(String),
 }
 
@@ -123,6 +108,18 @@ impl From<DecodeError> for CacheError {
     }
 }
 
+impl From<SealError> for CacheError {
+    fn from(e: SealError) -> Self {
+        match e {
+            SealError::Truncated => CacheError::Truncated,
+            SealError::BadMagic => CacheError::BadMagic,
+            SealError::SchemaMismatch { found } => CacheError::SchemaMismatch { found },
+            SealError::KeyMismatch => CacheError::KeyMismatch,
+            SealError::BadChecksum => CacheError::BadChecksum,
+        }
+    }
+}
+
 impl CacheError {
     /// Whether this is the silent no-entry case rather than a damaged or
     /// incompatible entry worth diagnosing.
@@ -136,39 +133,12 @@ impl CacheError {
 pub struct CachedEntry {
     /// The persisted analysis result.
     pub analysis: FirmwareAnalysis,
-    /// The analysis section exactly as stored: the [`put_analysis`]
+    /// The entry's payload exactly as stored: the [`put_analysis`]
     /// encoding of `analysis`, which decoded with no byte left over.
     /// A server answers a hit with these bytes instead of re-encoding.
     pub analysis_bytes: Vec<u8>,
-    /// The ExeId stage's handler set, decodable on its own.
-    pub handlers: Vec<HandlerInfo>,
-    /// The FieldId stage's per-message taint digests, decodable on
-    /// their own.
-    pub taint_summaries: Vec<TaintSummary>,
     /// Bytes read from disk for this entry.
     pub bytes: u64,
-}
-
-/// Digest the FieldId stage's artifact out of a finished analysis: one
-/// [`TaintSummary`] per message, in message order (node count of the
-/// originating trace, terminal sources at the MFT leaves).
-pub fn taint_summaries(analysis: &FirmwareAnalysis) -> Vec<TaintSummary> {
-    analysis
-        .messages
-        .iter()
-        .map(|m| TaintSummary {
-            nodes: m.mft.len(),
-            sources: m
-                .mft
-                .leaves()
-                .into_iter()
-                .filter_map(|id| match &m.mft.node(id).kind {
-                    MftNodeKind::Field(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// Point-in-time totals of the batched classification path under one
@@ -280,16 +250,6 @@ impl AnalysisCache {
         }
     }
 
-    /// Record an artifact write; runs an eviction pass if the write
-    /// pushed the store over its trigger watermark.
-    pub(crate) fn note_write_artifact(&self, name: &str, bytes: u64) {
-        if let Some(e) = &self.evictor {
-            if e.note_write(name, bytes) {
-                let _ = e.collect(&self.dir);
-            }
-        }
-    }
-
     /// Record an artifact deleted outside the GC.
     pub(crate) fn note_removed_artifact(&self, name: &str) {
         if let Some(e) = &self.evictor {
@@ -335,91 +295,46 @@ impl AnalysisCache {
         }
     }
 
-    /// Persist a finished analysis (plus its stage artifacts) under
-    /// `key`. Returns the number of bytes written.
+    /// Persist a finished analysis under `key`. Returns the number of
+    /// bytes written.
     pub fn store(&self, key: &CacheKey, analysis: &FirmwareAnalysis) -> Result<u64, CacheError> {
         let mut encoded = Vec::new();
         put_analysis(&mut encoded, analysis);
-        self.store_encoded(key, analysis, &encoded)
+        self.store_encoded(key, &encoded)
     }
 
     /// Persist an analysis whose [`put_analysis`] encoding the caller
     /// already holds (the unit funnel's output): `encoded` becomes the
-    /// analysis section verbatim, and `analysis` supplies the handler
-    /// and taint-summary sections, so it must be what `encoded` decodes
-    /// to — the caller decoded it from those bytes, or encoded them from
-    /// it. Returns the number of bytes written.
-    pub fn store_encoded(
-        &self,
-        key: &CacheKey,
-        analysis: &FirmwareAnalysis,
-        encoded: &[u8],
-    ) -> Result<u64, CacheError> {
-        let mut out = Vec::with_capacity(encoded.len() + 4096);
-        out.put_slice(MAGIC);
-        out.put_u16_le(SCHEMA_VERSION);
-        out.put_u128_le(key.image);
-        out.put_u32_le(key.pipeline);
-        out.put_u64_le(key.config);
-        out.put_u64_le(key.classifier);
-
-        let mut section = Vec::new();
-        section.put_u32_le(analysis.handlers.len() as u32);
-        for h in &analysis.handlers {
-            put_handler(&mut section, h);
-        }
-        put_section(&mut out, &section);
-
-        let summaries = taint_summaries(analysis);
-        let mut section = Vec::new();
-        section.put_u32_le(summaries.len() as u32);
-        for s in &summaries {
-            put_taint_summary(&mut section, s);
-        }
-        put_section(&mut out, &section);
-
-        put_section(&mut out, encoded);
-
-        out.put_u64_le(content_hash_packed(&out));
-
-        let name = key.file_name();
-        write_file_atomic(&self.artifact_dir(&name), &name, &out).map_err(CacheError::Io)?;
-        self.note_write_artifact(&name, out.len() as u64);
-        Ok(out.len() as u64)
+    /// entry's payload verbatim. Returns the number of bytes written.
+    pub fn store_encoded(&self, key: &CacheKey, encoded: &[u8]) -> Result<u64, CacheError> {
+        let sealed = seal(MAGIC, SCHEMA_VERSION, &key.echo(), encoded);
+        self.write_artifact(&key.file_name(), &sealed)
+            .map_err(CacheError::Io)
     }
 
-    /// Load and fully decode the entry for `key`. Every section must
-    /// decode with no byte left over, so an entry that loads can have
-    /// its analysis section served verbatim.
+    /// Load and decode the entry for `key`. The payload must decode with
+    /// no byte left over, so an entry that loads can be served verbatim.
     pub fn load(&self, key: &CacheKey) -> Result<CachedEntry, CacheError> {
-        let RawEntry {
-            sections: [handlers, taint, analysis_bytes],
-            bytes,
-        } = self.read_verified(key)?;
-        let handlers = decode_handlers(&handlers)?;
-        let taint = decode_taint_summaries(&taint)?;
-        let mut r = Reader::new(&analysis_bytes);
+        let name = key.file_name();
+        let data = self
+            .read_artifact(&name)
+            .map_err(|e| CacheError::Io(e.to_string()))?
+            .ok_or(CacheError::Miss)?;
+        let payload = open(&data, MAGIC, SCHEMA_VERSION, &key.echo())?;
+        self.note_read_artifact(&name);
+        let mut r = Reader::new(payload);
         let analysis = get_analysis(&mut r)?;
-        expect_consumed(&r)?;
+        if r.remaining() != 0 {
+            return Err(CacheError::Decode(format!(
+                "{} trailing byte(s) in payload",
+                r.remaining()
+            )));
+        }
         Ok(CachedEntry {
             analysis,
-            analysis_bytes,
-            handlers,
-            taint_summaries: taint,
-            bytes,
+            analysis_bytes: payload.to_vec(),
+            bytes: data.len() as u64,
         })
-    }
-
-    /// Load only the ExeId stage's handler set for `key`.
-    pub fn load_handlers(&self, key: &CacheKey) -> Result<Vec<HandlerInfo>, CacheError> {
-        let raw = self.read_verified(key)?;
-        decode_handlers(&raw.sections[0])
-    }
-
-    /// Load only the FieldId stage's taint summaries for `key`.
-    pub fn load_taint_summaries(&self, key: &CacheKey) -> Result<Vec<TaintSummary>, CacheError> {
-        let raw = self.read_verified(key)?;
-        decode_taint_summaries(&raw.sections[1])
     }
 
     /// Whether an entry file exists for `key` (no validation).
@@ -427,61 +342,28 @@ impl AnalysisCache {
         self.entry_path(key).exists()
     }
 
-    /// Read an entry file and verify magic, schema, key echo and
-    /// checksum, returning the three raw sections.
-    fn read_verified(&self, key: &CacheKey) -> Result<RawEntry, CacheError> {
-        let path = self.entry_path(key);
-        let data = match std::fs::read(&path) {
-            Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CacheError::Miss),
-            Err(e) => return Err(CacheError::Io(e.to_string())),
-        };
-        // Checksum first: it covers every other field, so a truncated or
-        // bit-flipped entry is caught before any interpretation.
-        if data.len() < MAGIC.len() + 8 {
-            return Err(CacheError::Truncated);
+    /// Read the artifact named `name` whole; `Ok(None)` when there is no
+    /// such file.
+    pub(crate) fn read_artifact(&self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+        match std::fs::read(self.artifact_path(name)) {
+            Ok(data) => Ok(Some(data)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
         }
-        let (body, tail) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if stored != content_hash_packed(body) {
-            // A short read and a flipped byte are indistinguishable here;
-            // report the more precise condition when the magic is gone.
-            if &body[..MAGIC.len()] != MAGIC {
-                return Err(CacheError::BadMagic);
+    }
+
+    /// Write a sealed artifact atomically and record it with the eviction
+    /// accounting, running an eviction pass if the write pushed the store
+    /// over its trigger watermark. Returns the number of bytes written.
+    pub(crate) fn write_artifact(&self, name: &str, sealed: &[u8]) -> Result<u64, String> {
+        write_file_atomic(&self.artifact_dir(name), name, sealed)?;
+        let bytes = sealed.len() as u64;
+        if let Some(e) = &self.evictor {
+            if e.note_write(name, bytes) {
+                let _ = e.collect(&self.dir);
             }
-            return Err(CacheError::BadChecksum);
         }
-        let mut r = Reader::new(body);
-        let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
-        if &magic != MAGIC {
-            return Err(CacheError::BadMagic);
-        }
-        let schema = r.u16()?;
-        if !(MIN_READ_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
-            return Err(CacheError::SchemaMismatch { found: schema });
-        }
-        let echo = CacheKey {
-            image: r.u128()?,
-            pipeline: r.u32()?,
-            config: r.u64()?,
-            classifier: r.u64()?,
-        };
-        if echo != *key {
-            return Err(CacheError::KeyMismatch);
-        }
-        let mut sections: [Vec<u8>; 3] = Default::default();
-        for section in &mut sections {
-            let len = r.u32()? as usize;
-            if len > r.remaining() {
-                return Err(CacheError::Truncated);
-            }
-            *section = r.bytes(len)?.to_vec();
-        }
-        self.note_read_artifact(&key.file_name());
-        Ok(RawEntry {
-            sections,
-            bytes: data.len() as u64,
-        })
+        Ok(bytes)
     }
 }
 
@@ -687,7 +569,7 @@ impl AnalysisCache {
     /// of the store.
     ///
     /// Unlike [`AnalysisCache::stats`] this decodes each entry (the
-    /// counters live in the analysis section), so it is proportional to
+    /// counters live in the payload), so it is proportional to
     /// store size — fine for the `cache-stats` survey, not for hot
     /// paths. Entries that fail to decode (stale schema, damage,
     /// foreign files) are skipped silently: the survey reports what is
@@ -721,11 +603,6 @@ impl AnalysisCache {
         }
         usage
     }
-}
-
-struct RawEntry {
-    sections: [Vec<u8>; 3],
-    bytes: u64,
 }
 
 /// Delete orphaned write temps in `dir`, returning how many were removed.
@@ -769,44 +646,6 @@ fn temp_writer_pid(name: &str) -> Option<u32> {
         return None;
     }
     pid.parse().ok()
-}
-
-fn put_section(out: &mut Vec<u8>, section: &[u8]) {
-    out.put_u32_le(section.len() as u32);
-    out.put_slice(section);
-}
-
-/// A section holds exactly one encoded value: bytes left over after it
-/// decoded make the entry unusable.
-fn expect_consumed(r: &Reader) -> Result<(), CacheError> {
-    match r.remaining() {
-        0 => Ok(()),
-        n => Err(CacheError::Decode(format!(
-            "{n} trailing byte(s) in section"
-        ))),
-    }
-}
-
-fn decode_handlers(bytes: &[u8]) -> Result<Vec<HandlerInfo>, CacheError> {
-    let mut r = Reader::new(bytes);
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_handler(&mut r)?);
-    }
-    expect_consumed(&r)?;
-    Ok(out)
-}
-
-fn decode_taint_summaries(bytes: &[u8]) -> Result<Vec<TaintSummary>, CacheError> {
-    let mut r = Reader::new(bytes);
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_taint_summary(&mut r)?);
-    }
-    expect_consumed(&r)?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -864,17 +703,7 @@ mod tests {
         assert_eq!(entry.analysis.executable, analysis.executable);
         assert_eq!(entry.analysis.messages.len(), analysis.messages.len());
         assert_eq!(entry.analysis.counters, analysis.counters);
-        assert_eq!(entry.handlers.len(), analysis.handlers.len());
-        assert_eq!(entry.taint_summaries.len(), analysis.messages.len());
-        // The sectioned artifacts match their full-analysis counterparts.
-        assert_eq!(
-            cache.load_handlers(&key).unwrap().len(),
-            entry.handlers.len()
-        );
-        assert_eq!(
-            cache.load_taint_summaries(&key).unwrap(),
-            taint_summaries(&analysis)
-        );
+        assert_eq!(entry.analysis.handlers.len(), analysis.handlers.len());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -924,15 +753,11 @@ mod tests {
         let key = CacheKey::compute(&dev.firmware, None, &config);
         cache.store(&key, &analysis).unwrap();
         let path = cache.entry_path(&key);
-        let mut data = std::fs::read(&path).unwrap();
-        // Rewrite the schema version and re-seal the checksum, emulating
-        // an entry from a future store layout.
-        data[4] = 0xFE;
-        data[5] = 0xFF;
-        let body_len = data.len() - 8;
-        let sum = content_hash_packed(&data[..body_len]);
-        data[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
+        let data = std::fs::read(&path).unwrap();
+        // Re-seal the payload under another schema version, emulating an
+        // entry from a future store layout.
+        let payload = &data[6 + 36..data.len() - 8];
+        std::fs::write(&path, seal(MAGIC, 0xFFFE, &key.echo(), payload)).unwrap();
         assert_eq!(
             cache.load(&key).unwrap_err(),
             CacheError::SchemaMismatch { found: 0xFFFE }
@@ -987,9 +812,9 @@ mod tests {
         let mut expect_current = 0u64;
         let mut expect_stale = 0u64;
         for i in 0..1200u32 {
-            // 1 in 6 entries carries the previous (still servable) schema.
+            // 1 in 6 entries carries the previous (stale) schema.
             let schema = if i % 6 == 5 {
-                MIN_READ_SCHEMA_VERSION
+                SCHEMA_VERSION - 1
             } else {
                 SCHEMA_VERSION
             };
@@ -1028,7 +853,7 @@ mod tests {
         assert_eq!(
             stats.by_schema,
             vec![
-                (MIN_READ_SCHEMA_VERSION, expect_stale),
+                (SCHEMA_VERSION - 1, expect_stale),
                 (SCHEMA_VERSION, expect_current),
             ]
         );
@@ -1041,34 +866,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// An entry as schema v3 laid it out: the v3 header, then three
+    /// length-prefixed sections (handlers, taint summaries, analysis).
+    /// The summaries carry node counts only: the schema check refuses
+    /// the entry before any section is read.
+    fn v3_entry(key: &CacheKey, analysis: &FirmwareAnalysis) -> Vec<u8> {
+        let mut handlers = (analysis.handlers.len() as u32).to_le_bytes().to_vec();
+        for h in &analysis.handlers {
+            crate::codec::put_handler(&mut handlers, h);
+        }
+        let mut summaries = (analysis.messages.len() as u32).to_le_bytes().to_vec();
+        for m in &analysis.messages {
+            summaries.extend_from_slice(&(m.mft.len() as u64).to_le_bytes());
+            summaries.extend_from_slice(&0u32.to_le_bytes());
+        }
+        let mut encoded = Vec::new();
+        put_analysis(&mut encoded, analysis);
+        let mut payload = Vec::new();
+        for section in [&handlers, &summaries, &encoded] {
+            payload.extend_from_slice(&(section.len() as u32).to_le_bytes());
+            payload.extend_from_slice(section);
+        }
+        seal(MAGIC, 3, &key.echo(), &payload)
+    }
+
     #[test]
-    fn version_2_entries_remain_servable() {
+    fn v3_entries_read_as_stale_and_are_rederived() {
         let dev = generate_device(6, 7);
         let config = AnalysisConfig::default();
-        let analysis = analyze_firmware(&dev.firmware, None, &config);
-        let cache = AnalysisCache::new(temp_dir("v2read"));
+        let plain = analyze_firmware(&dev.firmware, None, &config);
+        let cache = AnalysisCache::new(temp_dir("v3read"));
         let key = CacheKey::compute(&dev.firmware, None, &config);
-        cache.store(&key, &analysis).unwrap();
-        let path = cache.entry_path(&key);
-        let mut data = std::fs::read(&path).unwrap();
-        // Re-stamp the entry as schema v2 (identical layout) and re-seal.
-        data[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let body_len = data.len() - 8;
-        let sum = content_hash_packed(&data[..body_len]);
-        data[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        let entry = cache.load(&key).unwrap();
-        assert_eq!(entry.analysis.messages.len(), analysis.messages.len());
-        // v1 (pre-sectioning) stays rejected.
-        let mut old = std::fs::read(&path).unwrap();
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let sum = content_hash_packed(&old[..body_len]);
-        old[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &old).unwrap();
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        std::fs::write(cache.entry_path(&key), v3_entry(&key, &plain)).unwrap();
         assert_eq!(
             cache.load(&key).unwrap_err(),
-            CacheError::SchemaMismatch { found: 1 }
+            CacheError::SchemaMismatch { found: 3 }
         );
+        assert_eq!(cache.stats().unwrap().by_schema, vec![(3, 1)]);
+
+        let normalized = |mut a: FirmwareAnalysis| {
+            a.timings = Default::default();
+            let mut out = Vec::new();
+            put_analysis(&mut out, &a);
+            out
+        };
+        let expect = normalized(plain);
+        let images = [&dev.firmware];
+        let mut obs = firmres::CollectingObserver::default();
+        let rerun = crate::analyze_corpus_incremental(&images, None, &config, 1, &cache, &mut obs);
+        assert_eq!((rerun.stats.hits, rerun.stats.misses), (0, 1));
+        let warnings: Vec<_> = obs
+            .diagnostics
+            .iter()
+            .filter(|d| d.stage == firmres::StageKind::Cache)
+            .collect();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].detail.contains("schema v3"), "{warnings:?}");
+
+        // The stale entry was overwritten with a v4 entry of the same
+        // analysis, and the next run is a hit on it.
+        let stored = cache.load(&key).expect("re-derived entry loads");
+        assert_eq!(normalized(stored.analysis), expect);
+        assert_eq!(cache.stats().unwrap().by_schema, vec![(SCHEMA_VERSION, 1)]);
+        let warm = crate::analyze_corpus_incremental(
+            &images,
+            None,
+            &config,
+            1,
+            &cache,
+            &mut firmres::NullObserver,
+        );
+        assert_eq!((warm.stats.hits, warm.stats.misses), (1, 0));
+        let hit = warm.analyses.into_iter().next().unwrap();
+        assert_eq!(normalized(hit), expect);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -71,17 +71,18 @@ use crate::codec::{
     put_unit_events, DecodeError, Reader,
 };
 use crate::key::{classifier_fingerprint, config_fingerprint, PIPELINE_VERSION};
-use crate::store::AnalysisCache;
+use crate::seal::{open, seal, SealError};
+use crate::store::{AnalysisCache, SCHEMA_VERSION};
 use firmres::stages::{
-    enumerate_units, merge_unit_event_streams, probe_executable, run_message_unit, AnalysisContext,
-    ChosenExecutable, MessageUnit, TraceKey, UnitClassifier, UnitView,
+    enumerate_units, merge_unit_event_streams, probe_executable, rank_candidates, run_message_unit,
+    AnalysisContext, ChosenExecutable, MessageUnit, TraceKey, UnitClassifier, UnitView,
 };
 use firmres::{
     AnalysisConfig, CancelToken, Counter, Diagnostic, Error, Event, HandlerInfo, Observer,
     Severity, StageEvents, StageKind,
 };
 use firmres_dataflow::{TaintEngine, TraceDeps};
-use firmres_firmware::{content_hash_packed, FirmwareImage};
+use firmres_firmware::FirmwareImage;
 use firmres_ir::{
     caller_edges_hash, function_content_hash, program_context_hash, Address, CallGraph, Fnv128,
     Program,
@@ -89,7 +90,6 @@ use firmres_ir::{
 use firmres_mft::SliceRenderer;
 use firmres_semantics::Classifier;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Unit-granular cache traffic of one funnel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,8 +196,8 @@ fn unit_locator(
 // Artifact files
 // ---------------------------------------------------------------------------
 
-const BANK_MAGIC: &[u8; 4] = b"FRUB";
-const VERDICT_MAGIC: &[u8; 4] = b"FRVD";
+pub(crate) const BANK_MAGIC: &[u8; 4] = b"FRUB";
+pub(crate) const VERDICT_MAGIC: &[u8; 4] = b"FRVD";
 
 fn bank_name(key: u128) -> String {
     format!("{key:032x}.fru")
@@ -291,66 +291,57 @@ fn get_bank_entry(r: &mut Reader) -> Result<(u128, BankEntry), DecodeError> {
     ))
 }
 
-/// Read and verify an artifact file: magic, schema, key echo, checksum.
-/// `Ok(None)` is the silent no-file case; `Err` names the damage.
-fn read_artifact(path: &Path, magic: &[u8; 4], key: u128) -> Result<Option<Vec<u8>>, DecodeError> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(DecodeError(format!("read failed: {e}"))),
-    };
-    if data.len() < magic.len() + 8 {
-        return Err(DecodeError("artifact truncated".into()));
+impl From<SealError> for DecodeError {
+    fn from(e: SealError) -> DecodeError {
+        DecodeError(format!("artifact {e}"))
     }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    if stored != content_hash_packed(body) {
-        return Err(DecodeError("artifact checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    if r.bytes(4)? != magic {
-        return Err(DecodeError("artifact has wrong magic".into()));
-    }
-    let schema = r.u16()?;
-    if schema != crate::store::SCHEMA_VERSION {
-        return Err(DecodeError(format!(
-            "artifact schema v{schema} unsupported"
-        )));
-    }
-    if r.u128()? != key {
-        return Err(DecodeError("artifact key echo mismatch".into()));
-    }
-    Ok(Some(body[body.len() - r.remaining()..].to_vec()))
 }
 
-fn seal_artifact(magic: &[u8; 4], key: u128, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 30);
-    out.put_slice(magic);
-    out.put_u16_le(crate::store::SCHEMA_VERSION);
-    out.put_u128_le(key);
-    out.put_slice(payload);
-    out.put_u64_le(content_hash_packed(&out));
-    out
-}
-
-/// A decoded bank: entries by locator, plus the payload byte count read.
-type BankContents = (BTreeMap<u128, BankEntry>, u64);
-
-fn read_bank(cache: &AnalysisCache, key: u128) -> Result<Option<BankContents>, DecodeError> {
-    let name = bank_name(key);
-    let Some(payload) = read_artifact(&cache.artifact_path(&name), BANK_MAGIC, key)? else {
+/// Read the artifact `name` and open its seal; the payload is handed to
+/// `decode`. `Ok(None)` is the silent no-file case; `Err` names the
+/// damage. The second value is the payload's length.
+fn read_sealed<T>(
+    cache: &AnalysisCache,
+    name: &str,
+    magic: &[u8; 4],
+    key: u128,
+    decode: impl FnOnce(&mut Reader) -> Result<T, DecodeError>,
+) -> Result<Option<(T, u64)>, DecodeError> {
+    let Some(data) = cache
+        .read_artifact(name)
+        .map_err(|e| DecodeError(format!("read failed: {e}")))?
+    else {
         return Ok(None);
     };
-    cache.note_read_artifact(&name);
-    let bytes = payload.len() as u64;
-    let mut r = Reader::new(&payload);
-    let n = r.seq_len()?;
-    let mut entries = BTreeMap::new();
-    for _ in 0..n {
-        let (locator, entry) = get_bank_entry(&mut r)?;
-        entries.insert(locator, entry);
+    let payload = open(&data, magic, SCHEMA_VERSION, &key.to_le_bytes())?;
+    cache.note_read_artifact(name);
+    let value = decode(&mut Reader::new(payload))?;
+    Ok(Some((value, payload.len() as u64)))
+}
+
+/// A bank's payload: its entries, each keyed by unit locator.
+fn put_bank(entries: &[(u128, BankEntry)]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.put_u32_le(entries.len() as u32);
+    for (locator, e) in entries {
+        put_bank_entry(&mut payload, *locator, e);
     }
-    Ok(Some((entries, bytes)))
+    payload
+}
+
+/// A decoded bank: entries by unit locator.
+type Bank = BTreeMap<u128, BankEntry>;
+
+fn read_bank(cache: &AnalysisCache, key: u128) -> Result<Option<(Bank, u64)>, DecodeError> {
+    read_sealed(cache, &bank_name(key), BANK_MAGIC, key, |r| {
+        let n = r.seq_len()?;
+        let mut entries = BTreeMap::new();
+        for _ in 0..n {
+            let (locator, entry) = get_bank_entry(r)?;
+            entries.insert(locator, entry);
+        }
+        Ok(entries)
+    })
 }
 
 fn write_bank(
@@ -358,45 +349,18 @@ fn write_bank(
     key: u128,
     entries: &[(u128, BankEntry)],
 ) -> Result<u64, String> {
-    let mut payload = Vec::new();
-    payload.put_u32_le(entries.len() as u32);
-    for (locator, e) in entries {
-        put_bank_entry(&mut payload, *locator, e);
-    }
-    let sealed = seal_artifact(BANK_MAGIC, key, &payload);
-    let len = sealed.len() as u64;
-    let name = bank_name(key);
-    crate::store::write_file_atomic(&cache.artifact_dir(&name), &name, &sealed)?;
-    cache.note_write_artifact(&name, len);
-    Ok(len)
+    let sealed = seal(
+        BANK_MAGIC,
+        SCHEMA_VERSION,
+        &key.to_le_bytes(),
+        &put_bank(entries),
+    );
+    cache.write_artifact(&bank_name(key), &sealed)
 }
 
-fn read_verdict(cache: &AnalysisCache, key: u128) -> Result<Option<(Verdict, u64)>, DecodeError> {
-    let name = verdict_name(key);
-    let Some(payload) = read_artifact(&cache.artifact_path(&name), VERDICT_MAGIC, key)? else {
-        return Ok(None);
-    };
-    cache.note_read_artifact(&name);
-    let bytes = payload.len() as u64;
-    let mut r = Reader::new(&payload);
-    let events = get_stage_events(&mut r)?;
-    let qualified = r.boolean()?;
-    let n = r.seq_len()?;
-    let mut handlers = Vec::with_capacity(n);
-    for _ in 0..n {
-        handlers.push(get_handler(&mut r)?);
-    }
-    Ok(Some((
-        Verdict {
-            events,
-            qualified,
-            handlers,
-        },
-        bytes,
-    )))
-}
-
-fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, String> {
+/// A verdict's payload: the probe's events, whether the executable
+/// qualified, and its scored handlers.
+fn put_verdict(v: &Verdict) -> Vec<u8> {
     let mut payload = Vec::new();
     put_stage_events(&mut payload, &v.events);
     payload.put_u8(v.qualified as u8);
@@ -404,12 +368,34 @@ fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, S
     for h in &v.handlers {
         put_handler(&mut payload, h);
     }
-    let sealed = seal_artifact(VERDICT_MAGIC, key, &payload);
-    let len = sealed.len() as u64;
-    let name = verdict_name(key);
-    crate::store::write_file_atomic(&cache.artifact_dir(&name), &name, &sealed)?;
-    cache.note_write_artifact(&name, len);
-    Ok(len)
+    payload
+}
+
+fn read_verdict(cache: &AnalysisCache, key: u128) -> Result<Option<(Verdict, u64)>, DecodeError> {
+    read_sealed(cache, &verdict_name(key), VERDICT_MAGIC, key, |r| {
+        let events = get_stage_events(r)?;
+        let qualified = r.boolean()?;
+        let n = r.seq_len()?;
+        let mut handlers = Vec::with_capacity(n);
+        for _ in 0..n {
+            handlers.push(get_handler(r)?);
+        }
+        Ok(Verdict {
+            events,
+            qualified,
+            handlers,
+        })
+    })
+}
+
+fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, String> {
+    let sealed = seal(
+        VERDICT_MAGIC,
+        SCHEMA_VERSION,
+        &key.to_le_bytes(),
+        &put_verdict(v),
+    );
+    cache.write_artifact(&verdict_name(key), &sealed)
 }
 
 // ---------------------------------------------------------------------------
@@ -457,12 +443,6 @@ struct Candidate {
     /// lifts its program lazily (parse + lift only — its handlers and
     /// events come from the verdict).
     program: Option<Program>,
-}
-
-impl Candidate {
-    fn best_score(&self) -> f64 {
-        self.handlers.iter().fold(0.0, |m, h| m.max(h.score))
-    }
 }
 
 /// Analyze one image through the unit-granular artifact store, returning
@@ -543,7 +523,7 @@ pub fn analyze_image_units_incremental(
     let mut cx = AnalysisContext::new(fw, classifier, config, &mut *observer);
 
     // Stage 1: replay verdicts, probe only unknown executables, then rank
-    // exactly as the live stage does.
+    // through the live stage's own ranking.
     let winner: Option<Candidate> = cx.run_stage(StageKind::ExeId, |cx| {
         let mut candidates: Vec<Candidate> = Vec::new();
         for ((path, bytes), (key, verdict)) in exes.iter().zip(verdicts) {
@@ -560,7 +540,8 @@ pub fn analyze_image_units_incremental(
                 }
                 None => {
                     let mut events = StageEvents::default();
-                    let probed = probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
+                    let probed =
+                        probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
                     let verdict = Verdict {
                         events,
                         qualified: probed.is_some(),
@@ -592,30 +573,7 @@ pub fn analyze_image_units_incremental(
                 }
             }
         }
-        let mut best = 0usize;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.best_score() > candidates[best].best_score() {
-                best = i;
-            }
-        }
-        if candidates.len() > 1 {
-            let winner = candidates[best].path.clone();
-            let winner_score = candidates[best].best_score();
-            for (i, c) in candidates.iter().enumerate() {
-                if i != best {
-                    cx.diagnose(Diagnostic::new(
-                        StageKind::ExeId,
-                        Severity::Info,
-                        &c.path,
-                        format!(
-                            "device-cloud candidate (best P_f {:.2}) outscored by {winner} (best P_f {winner_score:.2})",
-                            c.best_score()
-                        ),
-                    ));
-                }
-            }
-        }
-        candidates.into_iter().nth(best)
+        rank_candidates(cx, candidates, |c| (&c.path, &c.handlers))
     });
 
     let flush_diags = |observer: &mut dyn Observer, diags: &[Diagnostic], stats: &UnitStats| {
@@ -883,6 +841,79 @@ mod tests {
     }
 
     #[test]
+    fn bank_and_verdict_bytes_are_the_v3_layout_with_a_new_version() {
+        use crate::seal::from_hex;
+        // What `write_bank` and `write_verdict` wrote for these inputs at
+        // schema v3, before the framing moved into `seal`.
+        const BANK_V3: &str = "465255420300887766554433221100ffeeddccbbaa0001000000550000000000\
+                          00000000000000000000020000000010000000000000100f0e0d0c0b0a090807\
+                          0605040302010020000000000000000000000000000000000000000000000100\
+                          00000010000000000000efbeadde000000000101000000001000000000000010\
+                          1000000000000001000000010000000203030000000000000000000000000000\
+                          00010000000303000104000000666e5f61040000006e6f746500000000000000\
+                          0000000000000000000000000000000000000000000000000004000000010203\
+                          048a4945bfb4fc6c23";
+        const VERDICT_V3: &str = "46525644030021436587a9cbed0ff0debc9a7856341202000000020001000000\
+                          0000000003010001060000002f62696e2f78210000006e6f206465766963652d\
+                          636c6f75642068616e646c65722073657175656e636573000000000000000001\
+                          010000000040000000000000060000006f6e5f6d736710400000000000002040\
+                          0000000000000100000000000000000000000000e83f01f2ebd504e9acde28";
+        let mut events = firmres::stages::UnitEvents::default();
+        events.field_id.count(Counter::TaintQueries, 3);
+        events.semantics.diagnose(Diagnostic::new(
+            StageKind::Semantics,
+            Severity::Info,
+            "fn_a",
+            "note",
+        ));
+        let entry = BankEntry {
+            footprint: vec![
+                (0x1000, 0x0102_0304_0506_0708_090a_0b0c_0d0e_0f10),
+                (0x2000, 0),
+            ],
+            caller_enums: vec![(0x1000, 0xdead_beef)],
+            slices_nonempty: true,
+            taint_keys: vec![(0x1000, 0x1010, 1)],
+            events,
+            record_bytes: vec![1, 2, 3, 4],
+        };
+        let bank_key = 0x00aa_bbcc_ddee_ff00_1122_3344_5566_7788u128;
+        let payload = put_bank(&[(0x55, entry)]);
+        assert_eq!(
+            seal(BANK_MAGIC, 3, &bank_key.to_le_bytes(), &payload),
+            from_hex(BANK_V3)
+        );
+
+        let mut events = StageEvents::default();
+        events.count(Counter::ExecutablesTried, 1);
+        events.diagnose(Diagnostic::new(
+            StageKind::ExeId,
+            Severity::Info,
+            "/bin/x",
+            "no device-cloud handler sequences",
+        ));
+        let verdict = Verdict {
+            events,
+            qualified: true,
+            handlers: vec![HandlerInfo {
+                handler_func: 0x4000,
+                handler_name: "on_msg".into(),
+                recv_callsite: 0x4010,
+                send_callsite: 0x4020,
+                distance: 1,
+                score: 0.75,
+                is_async: true,
+            }],
+        };
+        let verdict_key = 0x1234_5678_9abc_def0_0fed_cba9_8765_4321u128;
+        let payload = put_verdict(&verdict);
+        assert_eq!(
+            seal(VERDICT_MAGIC, 3, &verdict_key.to_le_bytes(), &payload),
+            from_hex(VERDICT_V3)
+        );
+    }
+
+    #[test]
     fn cold_funnel_matches_plain_pipeline_byte_for_byte() {
         let cache = AnalysisCache::new(temp_dir("cold-identity"));
         for id in [6u8, 10, 21] {
@@ -897,6 +928,41 @@ mod tests {
             assert_eq!(stats.unit_hits, 0);
             assert_eq!(stats.verdict_hits, 0);
         }
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn runner_up_executable_is_ranked_alike_by_driver_and_funnels() {
+        // Device 14 with its cloud agent installed twice: both copies
+        // qualify with the same score, so image order picks the winner
+        // and the other copy is noted as outscored.
+        let mut fw = generate_device(14, 7).firmware;
+        let agent = fw.file("/usr/bin/cloud_agent").unwrap().clone();
+        fw.add_file("/usr/sbin/cloud_agent", agent);
+        let plain = analyze_firmware(&fw, None, &AnalysisConfig::default());
+        assert_eq!(plain.executable.as_deref(), Some("/usr/bin/cloud_agent"));
+        let noted: Vec<&Diagnostic> = plain
+            .diagnostics
+            .iter()
+            .filter(|d| d.stage == StageKind::ExeId && d.detail.contains("outscored"))
+            .collect();
+        assert_eq!(noted.len(), 1, "{:?}", plain.diagnostics);
+        assert_eq!(noted[0].subject.as_deref(), Some("/usr/sbin/cloud_agent"));
+        assert!(noted[0]
+            .detail
+            .contains("outscored by /usr/bin/cloud_agent (best P_f"));
+
+        let cache = AnalysisCache::new(temp_dir("runner-up"));
+        let (cold, cold_stats) = funnel(&fw, &cache, 1);
+        assert_eq!(cold_stats.verdict_hits, 0);
+        let (warm, warm_stats) = funnel(&fw, &cache, 1);
+        assert_eq!(warm_stats.verdict_misses, 0, "both probes replay a verdict");
+        assert_eq!(normalized(&cold), encode_plain(&plain), "cold funnel");
+        assert_eq!(
+            normalized(&warm),
+            encode_plain(&plain),
+            "verdict-warm funnel"
+        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -233,19 +233,7 @@ pub fn analyze_firmware_with_jobs(
     jobs: usize,
     observer: &mut dyn Observer,
 ) -> FirmwareAnalysis {
-    let mut cx = AnalysisContext::new(fw, classifier, config, observer);
-    let Some(chosen) = ExeIdStage::run(&mut cx) else {
-        return cx.finish(None, Vec::new(), Vec::new());
-    };
-    let units = enumerate_units(&chosen.program, &chosen.handlers);
-    let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
-    let renderer = firmres_mft::SliceRenderer::new(&chosen.program);
-    let classes = UnitClassifier::new(classifier);
-    let outputs = run_pool(units.len(), jobs, |i| {
-        run_message_unit(&engine, &renderer, &classes, &units[i])
-    });
-    let records = merge_unit_outputs(&mut cx, outputs, engine.lib_matched());
-    cx.finish(Some(chosen.path), chosen.handlers, records)
+    drive(fw, classifier, config, jobs, observer, None)
 }
 
 /// [`analyze_firmware_with_jobs`] with cooperative cancellation: the
@@ -268,37 +256,51 @@ pub fn analyze_firmware_cancellable(
     observer: &mut dyn Observer,
     cancel: &crate::CancelToken,
 ) -> Result<FirmwareAnalysis, Error> {
-    let cancelled = |cancel: &crate::CancelToken| Error::Cancelled {
-        deadline_exceeded: cancel.deadline_exceeded(),
-    };
+    let analysis = drive(fw, classifier, config, jobs, observer, Some(cancel));
+    // A token never un-trips, so a run it cut short is still cancelled.
     if cancel.is_cancelled() {
-        return Err(cancelled(cancel));
+        return Err(Error::Cancelled {
+            deadline_exceeded: cancel.deadline_exceeded(),
+        });
     }
+    Ok(analysis)
+}
+
+/// The one driver body. Once `cancel` trips, the remaining stages and
+/// units are skipped and the work done so far is returned, so a caller
+/// that passes a token must check it afterwards.
+fn drive(
+    fw: &FirmwareImage,
+    classifier: Option<&Classifier>,
+    config: &AnalysisConfig,
+    jobs: usize,
+    observer: &mut dyn Observer,
+    cancel: Option<&crate::CancelToken>,
+) -> FirmwareAnalysis {
+    let tripped = || cancel.is_some_and(|c| c.is_cancelled());
     let mut cx = AnalysisContext::new(fw, classifier, config, observer);
-    let Some(chosen) = ExeIdStage::run(&mut cx) else {
-        return Ok(cx.finish(None, Vec::new(), Vec::new()));
-    };
-    if cancel.is_cancelled() {
-        return Err(cancelled(cancel));
+    if tripped() {
+        return cx.finish(None, Vec::new(), Vec::new());
     }
+    let Some(chosen) = ExeIdStage::run(&mut cx).filter(|_| !tripped()) else {
+        return cx.finish(None, Vec::new(), Vec::new());
+    };
     let units = enumerate_units(&chosen.program, &chosen.handlers);
     let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
     let renderer = firmres_mft::SliceRenderer::new(&chosen.program);
     let classes = UnitClassifier::new(classifier);
-    // Each worker polls the token at the unit boundary; a unit skipped by
-    // a tripped token yields `None`, which poisons the whole run below.
-    let outputs = run_pool(units.len(), jobs, |i| {
-        if cancel.is_cancelled() {
-            return None;
-        }
-        Some(run_message_unit(&engine, &renderer, &classes, &units[i]))
-    });
-    if cancel.is_cancelled() || outputs.iter().any(Option::is_none) {
-        return Err(cancelled(cancel));
-    }
-    let outputs = outputs.into_iter().flatten().collect();
-    let records = merge_unit_outputs(&mut cx, outputs, engine.lib_matched());
-    Ok(cx.finish(Some(chosen.path), chosen.handlers, records))
+    // Each worker polls the token at the unit boundary; one skipped unit
+    // drops every record.
+    let outputs: Option<Vec<_>> = run_pool(units.len(), jobs, |i| {
+        (!tripped()).then(|| run_message_unit(&engine, &renderer, &classes, &units[i]))
+    })
+    .into_iter()
+    .collect();
+    let records = match outputs {
+        Some(outputs) => merge_unit_outputs(&mut cx, outputs, engine.lib_matched()),
+        None => Vec::new(),
+    };
+    cx.finish(Some(chosen.path), chosen.handlers, records)
 }
 
 /// Fallible [`analyze_firmware`].

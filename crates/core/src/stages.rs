@@ -1,18 +1,17 @@
 //! The staged pipeline: five typed stages and the per-callsite
 //! **message-unit** execution model.
 //!
-//! Each stage of the paper's Fig. 3 workflow is a function over shared
-//! state producing a typed artifact:
+//! The paper's Fig. 3 workflow runs as five stages over shared state:
 //!
 //! 1. [`ExeIdStage`] → [`ChosenExecutable`] — pinpoint the device-cloud
-//!    executable (best-scoring candidate, paper §IV-A);
-//! 2. [`FieldIdStage`] → [`RawMessage`]s — backward taint per delivery
-//!    callsite;
-//! 3. [`SemanticsStage`] → [`SliceSemantics`] — render and classify
-//!    enriched code slices;
-//! 4. [`ConcatStage`] → [`MessageRecord`]s — reconstruct and annotate
-//!    messages, LAN/echo filtering;
-//! 5. [`FormCheckStage`] — message-form findings in place.
+//!    executable (best-scoring candidate, paper §IV-A), image-wide;
+//! 2. field identification → [`RawMessage`] — backward taint from one
+//!    delivery callsite;
+//! 3. semantics — render and classify the message's enriched code
+//!    slices;
+//! 4. concatenation → [`MessageRecord`] — reconstruct and annotate the
+//!    message, LAN/echo filtering;
+//! 5. form check — message-form findings in place.
 //!
 //! # The message-unit model
 //!
@@ -38,9 +37,9 @@
 //! byte-identical at any job count (see `DESIGN.md` §8 for the full
 //! determinism argument).
 //!
-//! The classic per-stage API ([`FieldIdStage::run`] and friends) is kept
-//! for callers that need intermediate artifacts; it executes the same
-//! unit functions inline, so both paths produce identical event streams.
+//! The stage-major order (stage 2 over every unit, then stage 3, and so
+//! on) survives only in this module's tests, as the oracle the unit
+//! merge's event stream is checked against.
 //!
 //! The context owns the cross-cutting concerns: per-stage timing, work
 //! counters, structured diagnostics, and fan-out to the caller's
@@ -234,15 +233,6 @@ pub struct ChosenExecutable {
     pub handlers: Vec<HandlerInfo>,
 }
 
-impl ChosenExecutable {
-    /// The executable's identification score: the best handler `P_f`
-    /// among its asynchronous request handlers (paper §IV-A ranks
-    /// candidates by this factor).
-    pub fn best_score(&self) -> f64 {
-        self.handlers.iter().fold(0.0, |m, h| m.max(h.score))
-    }
-}
-
 /// Stage-2 artifact: one delivery callsite with its backward-taint
 /// results, before reconstruction.
 #[derive(Debug, Clone)]
@@ -260,18 +250,6 @@ pub struct RawMessage {
     pub endpoint: Option<String>,
     /// Whether the delivery host resolved to a LAN address.
     pub host_lan: bool,
-}
-
-/// Stage-3 artifact: rendered slices and their classified semantics,
-/// parallel to the stage-2 [`RawMessage`] list.
-pub struct SliceSemantics {
-    /// Enriched code slices per message (one inner vec per raw message).
-    pub slices: Vec<Vec<CodeSlice>>,
-    /// `(field origin, primitive)` pairs per message, consumed by the
-    /// concatenation stage's origin matching.
-    pub labeled: Vec<Vec<(FieldSource, Primitive)>>,
-    /// Raw primitive per slice, parallel to `slices`.
-    pub primitives: Vec<Vec<Primitive>>,
 }
 
 /// Running totals of the batched classification path. Every
@@ -858,7 +836,7 @@ pub fn merge_unit_event_streams(
 }
 
 // ---------------------------------------------------------------------------
-// The classic per-stage API
+// Stage 1
 // ---------------------------------------------------------------------------
 
 /// Stage 1: pinpoint the device-cloud executable (paper §IV-A).
@@ -939,164 +917,52 @@ impl ExeIdStage {
             let mut candidates: Vec<ChosenExecutable> = Vec::new();
             for (path, bytes) in cx.inputs.fw.executables() {
                 let mut events = StageEvents::default();
-                let candidate =
-                    probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
+                let candidate = probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
                 cx.replay_events(&events);
-                if let Some(candidate) = candidate {
-                    candidates.push(candidate);
-                }
+                candidates.extend(candidate);
             }
-            // Rank the qualifying executables by best handler score
-            // (§IV-A scores candidates rather than taking the first
-            // hit); earliest image order wins ties.
-            let mut best = 0usize;
-            for (i, c) in candidates.iter().enumerate().skip(1) {
-                if c.best_score() > candidates[best].best_score() {
-                    best = i;
-                }
-            }
-            if candidates.len() > 1 {
-                let winner = candidates[best].path.clone();
-                let winner_score = candidates[best].best_score();
-                for (i, c) in candidates.iter().enumerate() {
-                    if i != best {
-                        cx.diagnose(Diagnostic::new(
-                            StageKind::ExeId,
-                            Severity::Info,
-                            &c.path,
-                            format!(
-                                "device-cloud candidate (best P_f {:.2}) outscored by {winner} (best P_f {winner_score:.2})",
-                                c.best_score()
-                            ),
-                        ));
-                    }
-                }
-            }
-            candidates.into_iter().nth(best)
+            rank_candidates(cx, candidates, |c| (&c.path, &c.handlers))
         })
     }
 }
 
-/// Stage 2: identify message fields via backward taint per delivery
-/// callsite (paper §IV-B).
-pub struct FieldIdStage;
-
-impl FieldIdStage {
-    /// Run the stage over the chosen executable, inline on the calling
-    /// thread (the unit-parallel path is
-    /// [`analyze_firmware_with_jobs`](crate::pipeline::analyze_firmware_with_jobs)).
-    pub fn run(cx: &mut AnalysisContext<'_>, chosen: &ChosenExecutable) -> Vec<RawMessage> {
-        cx.run_stage(StageKind::FieldId, |cx| {
-            let engine = TaintEngine::with_config(&chosen.program, cx.inputs.config.taint.clone());
-            let units = enumerate_units(&chosen.program, &chosen.handlers);
-            let mut raws = Vec::with_capacity(units.len());
-            let mut keys = Vec::new();
-            for unit in &units {
-                let mut ucx = UnitContext::new();
-                let raw = ucx.run_stage(UnitStage::FieldId, |u| field_id_unit(&engine, unit, u));
-                cx.replay_events(&ucx.events.field_id);
-                keys.extend(ucx.taint_keys);
-                raws.push(raw);
-            }
-            let hits = memo_hits(keys.into_iter());
-            if hits > 0 {
-                cx.count(Counter::TaintCacheHits, hits);
-            }
-            let matched = engine.lib_matched();
-            if matched > 0 {
-                cx.count(Counter::LibFnsMatched, matched);
-            }
-            raws
-        })
+/// Pick stage 1's winner among the qualifying executables, given in
+/// image order; `describe` yields a candidate's path and handlers.
+///
+/// Candidates are ranked by their best handler `P_f` (§IV-A scores
+/// candidates rather than taking the first hit), earliest image order
+/// wins ties, and every runner-up is noted at info severity. The live
+/// stage and the unit funnel's verdict replay both rank through here.
+pub fn rank_candidates<C>(
+    cx: &mut AnalysisContext<'_>,
+    mut candidates: Vec<C>,
+    describe: impl Fn(&C) -> (&str, &[HandlerInfo]),
+) -> Option<C> {
+    let score = |c: &C| describe(c).1.iter().fold(0.0, |m: f64, h| m.max(h.score));
+    let mut best = 0usize;
+    for (i, c) in candidates.iter().enumerate().skip(1) {
+        if score(c) > score(&candidates[best]) {
+            best = i;
+        }
     }
-}
-
-/// Stage 3: recover field semantics from enriched code slices (paper
-/// §IV-C).
-pub struct SemanticsStage;
-
-impl SemanticsStage {
-    /// Run the stage: render one slice per field leaf and classify each.
-    pub fn run(
-        cx: &mut AnalysisContext<'_>,
-        chosen: &ChosenExecutable,
-        raws: &[RawMessage],
-    ) -> SliceSemantics {
-        cx.run_stage(StageKind::Semantics, |cx| {
-            let renderer = SliceRenderer::new(&chosen.program);
-            let classes = UnitClassifier::new(cx.inputs.classifier);
-            let mut slices = Vec::with_capacity(raws.len());
-            let mut labeled = Vec::with_capacity(raws.len());
-            let mut primitives = Vec::with_capacity(raws.len());
-            for raw in raws {
-                let mut ucx = UnitContext::new();
-                let (s, l, p) = ucx.run_stage(UnitStage::Semantics, |u| {
-                    semantics_unit(&renderer, &classes, raw, u)
-                });
-                cx.replay_events(&ucx.events.semantics);
-                slices.push(s);
-                labeled.push(l);
-                primitives.push(p);
-            }
-            if cx.inputs.classifier.is_none() && slices.iter().any(|s| !s.is_empty()) {
-                cx.diagnose(Diagnostic::bare(
-                    StageKind::Semantics,
+    if candidates.len() > 1 {
+        let winner = describe(&candidates[best]).0;
+        let winner_score = score(&candidates[best]);
+        for (i, c) in candidates.iter().enumerate() {
+            if i != best {
+                cx.diagnose(Diagnostic::new(
+                    StageKind::ExeId,
                     Severity::Info,
-                    "no trained classifier; falling back to keyword weak-labeling",
+                    describe(c).0,
+                    format!(
+                        "device-cloud candidate (best P_f {:.2}) outscored by {winner} (best P_f {winner_score:.2})",
+                        score(c)
+                    ),
                 ));
             }
-            SliceSemantics {
-                slices,
-                labeled,
-                primitives,
-            }
-        })
+        }
     }
-}
-
-/// Stage 4: concatenate fields into messages; group and LAN-filter
-/// (paper §IV-D).
-pub struct ConcatStage;
-
-impl ConcatStage {
-    /// Run the stage, consuming the stage-2 and stage-3 artifacts.
-    pub fn run(
-        cx: &mut AnalysisContext<'_>,
-        raws: Vec<RawMessage>,
-        sem: SliceSemantics,
-    ) -> Vec<MessageRecord> {
-        cx.run_stage(StageKind::Concat, |cx| {
-            let mut records = Vec::with_capacity(raws.len());
-            for (((raw, slices), labeled), primitives) in raws
-                .into_iter()
-                .zip(sem.slices)
-                .zip(sem.labeled)
-                .zip(sem.primitives)
-            {
-                let mut ucx = UnitContext::new();
-                let record = ucx.run_stage(UnitStage::Concat, |u| {
-                    concat_unit(raw, slices, labeled, primitives, u)
-                });
-                cx.replay_events(&ucx.events.concat);
-                records.push(record);
-            }
-            records
-        })
-    }
-}
-
-/// Stage 5: message-form checking of the counted records (paper §IV-E).
-pub struct FormCheckStage;
-
-impl FormCheckStage {
-    /// Run the stage, filling `flaws` in place.
-    pub fn run(cx: &mut AnalysisContext<'_>, records: &mut [MessageRecord]) {
-        cx.run_stage(StageKind::FormCheck, |_cx| {
-            for r in records.iter_mut() {
-                form_check_unit(r);
-            }
-        })
-    }
+    (!candidates.is_empty()).then(|| candidates.swap_remove(best))
 }
 
 #[cfg(test)]
@@ -1104,6 +970,147 @@ mod tests {
     use super::*;
     use crate::observe::NullObserver;
     use firmres_corpus::generate_device;
+
+    // The per-stage API: stages 2–5 run stage-major over every unit, as
+    // the pipeline did before message units. Production runs units;
+    // `stages_compose_to_the_full_pipeline` checks this order against
+    // the unit merge.
+
+    /// Stage-3 artifact: rendered slices and their classified semantics,
+    /// parallel to the stage-2 [`RawMessage`] list.
+    struct SliceSemantics {
+        /// Enriched code slices per message (one inner vec per raw message).
+        slices: Vec<Vec<CodeSlice>>,
+        /// `(field origin, primitive)` pairs per message, consumed by the
+        /// concatenation stage's origin matching.
+        labeled: Vec<Vec<(FieldSource, Primitive)>>,
+        /// Raw primitive per slice, parallel to `slices`.
+        primitives: Vec<Vec<Primitive>>,
+    }
+
+    /// Stage 2: identify message fields via backward taint per delivery
+    /// callsite (paper §IV-B).
+    struct FieldIdStage;
+
+    impl FieldIdStage {
+        /// Run the stage over the chosen executable, inline on the calling
+        /// thread (the unit-parallel path is
+        /// [`analyze_firmware_with_jobs`](crate::pipeline::analyze_firmware_with_jobs)).
+        fn run(cx: &mut AnalysisContext<'_>, chosen: &ChosenExecutable) -> Vec<RawMessage> {
+            cx.run_stage(StageKind::FieldId, |cx| {
+                let engine =
+                    TaintEngine::with_config(&chosen.program, cx.inputs.config.taint.clone());
+                let units = enumerate_units(&chosen.program, &chosen.handlers);
+                let mut raws = Vec::with_capacity(units.len());
+                let mut keys = Vec::new();
+                for unit in &units {
+                    let mut ucx = UnitContext::new();
+                    let raw =
+                        ucx.run_stage(UnitStage::FieldId, |u| field_id_unit(&engine, unit, u));
+                    cx.replay_events(&ucx.events.field_id);
+                    keys.extend(ucx.taint_keys);
+                    raws.push(raw);
+                }
+                let hits = memo_hits(keys.into_iter());
+                if hits > 0 {
+                    cx.count(Counter::TaintCacheHits, hits);
+                }
+                let matched = engine.lib_matched();
+                if matched > 0 {
+                    cx.count(Counter::LibFnsMatched, matched);
+                }
+                raws
+            })
+        }
+    }
+
+    /// Stage 3: recover field semantics from enriched code slices (paper
+    /// §IV-C).
+    struct SemanticsStage;
+
+    impl SemanticsStage {
+        /// Run the stage: render one slice per field leaf and classify each.
+        fn run(
+            cx: &mut AnalysisContext<'_>,
+            chosen: &ChosenExecutable,
+            raws: &[RawMessage],
+        ) -> SliceSemantics {
+            cx.run_stage(StageKind::Semantics, |cx| {
+                let renderer = SliceRenderer::new(&chosen.program);
+                let classes = UnitClassifier::new(cx.inputs.classifier);
+                let mut slices = Vec::with_capacity(raws.len());
+                let mut labeled = Vec::with_capacity(raws.len());
+                let mut primitives = Vec::with_capacity(raws.len());
+                for raw in raws {
+                    let mut ucx = UnitContext::new();
+                    let (s, l, p) = ucx.run_stage(UnitStage::Semantics, |u| {
+                        semantics_unit(&renderer, &classes, raw, u)
+                    });
+                    cx.replay_events(&ucx.events.semantics);
+                    slices.push(s);
+                    labeled.push(l);
+                    primitives.push(p);
+                }
+                if cx.inputs.classifier.is_none() && slices.iter().any(|s| !s.is_empty()) {
+                    cx.diagnose(Diagnostic::bare(
+                        StageKind::Semantics,
+                        Severity::Info,
+                        "no trained classifier; falling back to keyword weak-labeling",
+                    ));
+                }
+                SliceSemantics {
+                    slices,
+                    labeled,
+                    primitives,
+                }
+            })
+        }
+    }
+
+    /// Stage 4: concatenate fields into messages; group and LAN-filter
+    /// (paper §IV-D).
+    struct ConcatStage;
+
+    impl ConcatStage {
+        /// Run the stage, consuming the stage-2 and stage-3 artifacts.
+        fn run(
+            cx: &mut AnalysisContext<'_>,
+            raws: Vec<RawMessage>,
+            sem: SliceSemantics,
+        ) -> Vec<MessageRecord> {
+            cx.run_stage(StageKind::Concat, |cx| {
+                let mut records = Vec::with_capacity(raws.len());
+                for (((raw, slices), labeled), primitives) in raws
+                    .into_iter()
+                    .zip(sem.slices)
+                    .zip(sem.labeled)
+                    .zip(sem.primitives)
+                {
+                    let mut ucx = UnitContext::new();
+                    let record = ucx.run_stage(UnitStage::Concat, |u| {
+                        concat_unit(raw, slices, labeled, primitives, u)
+                    });
+                    cx.replay_events(&ucx.events.concat);
+                    records.push(record);
+                }
+                records
+            })
+        }
+    }
+
+    /// Stage 5: message-form checking of the counted records (paper §IV-E).
+    struct FormCheckStage;
+
+    impl FormCheckStage {
+        /// Run the stage, filling `flaws` in place.
+        fn run(cx: &mut AnalysisContext<'_>, records: &mut [MessageRecord]) {
+            cx.run_stage(StageKind::FormCheck, |_cx| {
+                for r in records.iter_mut() {
+                    form_check_unit(r);
+                }
+            })
+        }
+    }
 
     #[test]
     fn stages_compose_to_the_full_pipeline() {

@@ -65,5 +65,5 @@ pub use summary::{
 };
 pub use taint::{
     intern_unresolved_reason, FieldSource, TaintConfig, TaintEngine, TaintNode, TaintNodeId,
-    TaintNodeKind, TaintSummary, TaintTree, TraceDeps, UNRESOLVED_REASONS,
+    TaintNodeKind, TaintTree, TraceDeps, UNRESOLVED_REASONS,
 };

@@ -268,43 +268,6 @@ impl TaintTree {
         }
         path
     }
-
-    /// Condense the trace into its persistable [`TaintSummary`].
-    pub fn summary(&self) -> TaintSummary {
-        TaintSummary {
-            nodes: self.nodes.len(),
-            sources: self.sources().filter_map(|n| n.source().cloned()).collect(),
-        }
-    }
-}
-
-/// An owned, serialization-friendly digest of one backward-taint trace:
-/// what the field-identification stage learned, without the per-node
-/// structure of the full [`TaintTree`].
-///
-/// This is the per-stage intermediate artifact the analysis cache
-/// persists for the FieldId stage — every field it contains is plain
-/// owned data, so it survives an encode/decode round trip byte-for-byte
-/// (the one `&'static str` in [`FieldSource::Unresolved`] is restored
-/// via [`intern_unresolved_reason`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaintSummary {
-    /// Total nodes in the originating trace (a proxy for trace cost).
-    pub nodes: usize,
-    /// Terminal field sources at the leaves, in discovery order.
-    pub sources: Vec<FieldSource>,
-}
-
-impl TaintSummary {
-    /// Sources that resolved to a concrete origin.
-    pub fn concrete_sources(&self) -> impl Iterator<Item = &FieldSource> {
-        self.sources.iter().filter(|s| s.is_concrete())
-    }
-
-    /// How many sources did not resolve.
-    pub fn unresolved_count(&self) -> usize {
-        self.sources.len() - self.concrete_sources().count()
-    }
 }
 
 /// The cross-function inputs one memoized trace read: every function
@@ -2866,25 +2829,5 @@ msg: .asciz "PING"
             assert_eq!(intern_unresolved_reason(owned.as_str()), r);
         }
         assert_eq!(intern_unresolved_reason("not a real reason"), "unknown");
-    }
-
-    #[test]
-    fn summary_digests_the_trace() {
-        let (tree, _) = trace_last_delivery(
-            ".func main\n la a1, msg\n li a0, 1\n callx SSL_write\n ret\n.endfunc\n.data\nmsg: .asciz \"PING\"\n",
-            "SSL_write",
-            1,
-        );
-        let summary = tree.summary();
-        assert_eq!(summary.nodes, tree.len());
-        assert_eq!(
-            summary.sources.len(),
-            tree.sources().count(),
-            "one summary source per leaf"
-        );
-        assert_eq!(summary.unresolved_count(), 0);
-        assert!(summary
-            .concrete_sources()
-            .any(|s| matches!(s, FieldSource::StringConstant { value, .. } if value == "PING")));
     }
 }

@@ -1,22 +1,22 @@
 //! The `.flix` sealed index artifact.
 //!
-//! Same codec discipline as the FRAC cache store: magic, schema
-//! version, length-prefixed body, FNV-64 trailer computed over
-//! everything before it, temp-file + atomic rename on write, and a
-//! damage-tolerant checksum-first open — any corruption (truncation,
-//! bit-flips, oversize counts, trailing garbage) surfaces as a
-//! [`FlixError`] diagnostic, never a panic, and callers degrade to
-//! full traversal.
+//! The file uses the cache store's framing ([`firmres_cache::seal`]):
+//! magic, schema version, no key echo, the index payload and an FNV-64
+//! trailer over everything before it. Writes go through a temp file, an
+//! fsync and an atomic rename, and the open is checksum-first and
+//! damage-tolerant: any corruption (truncation, bit-flips, oversize
+//! counts, trailing garbage) surfaces as a [`FlixError`] diagnostic,
+//! never a panic, and callers degrade to full traversal.
 
 use firmres_cache::codec::{
     get_field_source, get_pcode_op, get_varnode, put_field_source, put_pcode_op, put_varnode,
     DecodeError, Reader,
 };
+use firmres_cache::seal::{open, seal, SealError};
 use firmres_dataflow::{
     intern_rejection_reason, LibFunc, LibFuncScripts, LibIndex, LibRegionKey, LibScript, LibStep,
     OpRef,
 };
-use firmres_firmware::content_hash_packed;
 use firmres_ir::BlockId;
 use std::fmt;
 use std::fs;
@@ -254,8 +254,6 @@ fn get_script(r: &mut Reader) -> Result<LibScript, DecodeError> {
 /// trailer).
 pub fn encode_index(index: &LibIndex) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(FLIX_MAGIC);
-    out.extend_from_slice(&FLIX_SCHEMA_VERSION.to_le_bytes());
     out.extend_from_slice(&index.const_ceiling().to_le_bytes());
     out.extend_from_slice(&(index.len() as u32).to_le_bytes());
     for (hash, f) in index.iter() {
@@ -282,9 +280,7 @@ pub fn encode_index(index: &LibIndex) -> Vec<u8> {
             put_string(&mut out, reason);
         }
     }
-    let csum = content_hash_packed(&out);
-    out.extend_from_slice(&csum.to_le_bytes());
-    out
+    seal(FLIX_MAGIC, FLIX_SCHEMA_VERSION, &[], &out)
 }
 
 /// Decode complete `.flix` file bytes. Checksum-first: a valid trailer
@@ -292,31 +288,19 @@ pub fn encode_index(index: &LibIndex) -> Vec<u8> {
 /// in the file (including trailing garbage, which shifts the trailer)
 /// is caught up front.
 pub fn decode_index(bytes: &[u8]) -> Result<LibIndex, FlixError> {
-    if bytes.len() < FLIX_MAGIC.len() + 2 + 8 {
-        return Err(FlixError(format!(
-            "file too short to be an index ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let computed = content_hash_packed(body);
-    if stored != computed {
-        return Err(FlixError(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): \
-             truncated or corrupt index"
-        )));
-    }
-    if &body[..4] != FLIX_MAGIC {
-        return Err(FlixError("bad magic: not a .flix index".to_string()));
-    }
-    let mut r = Reader::new(&body[4..]);
-    let version = r.u16()?;
-    if version != FLIX_SCHEMA_VERSION {
-        return Err(FlixError(format!(
-            "schema version {version} (this build reads {FLIX_SCHEMA_VERSION}); rebuild the index"
-        )));
-    }
+    let payload = open(bytes, FLIX_MAGIC, FLIX_SCHEMA_VERSION, &[]).map_err(|e| {
+        FlixError(match e {
+            SealError::Truncated => {
+                format!("file too short to be an index ({} bytes)", bytes.len())
+            }
+            SealError::BadMagic => "bad magic: not a .flix index".to_string(),
+            SealError::SchemaMismatch { found } => format!(
+                "schema version {found} (this build reads {FLIX_SCHEMA_VERSION}); rebuild the index"
+            ),
+            e => format!("{e}: truncated or corrupt index"),
+        })
+    })?;
+    let mut r = Reader::new(payload);
     let const_ceiling = r.u64()?;
     let n = r.seq_len()?;
     let mut entries = Vec::with_capacity(n);

@@ -102,3 +102,19 @@ fn fingerprint_tracks_content() {
     assert_ne!(subset.fingerprint(), full.fingerprint());
     assert_ne!(full.fingerprint(), LibIndex::EMPTY_FINGERPRINT);
 }
+
+#[test]
+fn roster_index_bytes_are_unchanged() {
+    // Length and FNV digests of the roster index's `.flix` bytes before
+    // the framing moved into the cache crate's `seal`.
+    let bytes = encode_index(&roster_index("golden"));
+    assert_eq!(bytes.len(), 14621);
+    assert_eq!(
+        firmres_firmware::content_hash_packed_wide(&bytes),
+        0xa9a93edd709a476e5254fdf2bd5db5fb
+    );
+    assert_eq!(
+        firmres_firmware::content_hash_packed(&bytes),
+        0xd466e6098925699b
+    );
+}

@@ -485,8 +485,10 @@ fn run_job(shared: &Shared, job: Job) {
             // unit-granular funnel: the daemon diffs the submitted image
             // against its stored artifacts automatically and re-runs
             // only the dirty units. Its encoded output is the payload
-            // and the stored section; the decode only feeds the counters
-            // and the entry's stage artifacts. Without a store, the
+            // and the stored entry. Spliced unit records are never
+            // decoded when reused, so this decode is the one check that
+            // the bytes form a valid analysis before they are served and
+            // stored; it also feeds the counters. Without a store, the
             // plain pipeline.
             match &shared.cache {
                 Some(cache) => firmres_cache::analyze_image_units_incremental(
@@ -545,7 +547,7 @@ fn run_job(shared: &Shared, job: Job) {
             if let (Some(cache), Some(key)) = (&shared.cache, &job.key) {
                 // A full store or unwritable directory degrades the
                 // cache, not the response.
-                let _ = cache.store_encoded(key, &analysis, &payload);
+                let _ = cache.store_encoded(key, &payload);
             }
             c.cache_misses.fetch_add(1, Ordering::Relaxed);
             c.jobs_served.fetch_add(1, Ordering::Relaxed);

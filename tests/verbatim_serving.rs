@@ -67,23 +67,16 @@ fn codec_is_canonical_on_cold_and_spliced_funnel_output() {
     let _ = std::fs::remove_dir_all(cache.dir());
 }
 
-/// The byte range of an entry's analysis section: the third of the
-/// length-prefixed sections after the 42-byte header.
+/// The byte range of an entry's analysis section: its whole payload,
+/// after the 42-byte header and before the 8-byte checksum.
 fn analysis_section(entry: &[u8]) -> std::ops::Range<usize> {
-    let len_at = |off: usize| u32::from_le_bytes(entry[off..off + 4].try_into().unwrap()) as usize;
-    let mut off = 42;
-    for _ in 0..2 {
-        off += 4 + len_at(off);
-    }
-    off + 4..off + 4 + len_at(off)
+    42..entry.len() - 8
 }
 
 /// Rewrite an entry's analysis section and seal the result with a valid
 /// checksum, as a writer with a codec bug (or a hand edit) would.
 fn reseal(entry: &[u8], section: &[u8]) -> Vec<u8> {
-    let range = analysis_section(entry);
-    let mut out = entry[..range.start - 4].to_vec();
-    out.extend_from_slice(&(section.len() as u32).to_le_bytes());
+    let mut out = entry[..analysis_section(entry).start].to_vec();
     out.extend_from_slice(section);
     out.extend_from_slice(&content_hash_packed(&out).to_le_bytes());
     out
